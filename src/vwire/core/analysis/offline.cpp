@@ -1,44 +1,34 @@
 #include "vwire/core/analysis/offline.hpp"
 
-#include "vwire/util/logging.hpp"
-
 namespace vwire::core {
 
 OfflineAnalyzer::OfflineAnalyzer(TableSet tables)
     : tables_(std::move(tables)),
       classifier_(tables_.filters),
-      vars_(tables_.filters.var_names.size()) {}
+      vars_(tables_.filters.var_names.size()),
+      rules_(*this, stats_) {}
 
 OfflineResult OfflineAnalyzer::analyze(const trace::TraceBuffer& trace) {
-  counters_.assign(tables_.counters.entries.size(), {});
-  term_state_.assign(tables_.terms.entries.size(), 0);
-  cond_state_.assign(tables_.conditions.entries.size(), 0);
+  rules_.load(tables_, kInvalidId, /*observer=*/true);
   vars_.reset();
-  fired_.clear();
   result_ = {};
-  done_ = false;
+  now_ = {};
+  index_ = 0;
 
-  initial_sweep();
+  rules_.start();
   const auto& records = trace.records();
-  for (std::size_t i = 0; i < records.size() && !done_; ++i) {
-    process_record(records[i], i);
+  for (; index_ < records.size() && !result_.stopped; ++index_) {
+    process_record(records[index_]);
     ++result_.records_processed;
   }
   for (std::size_t c = 0; c < tables_.counters.entries.size(); ++c) {
-    result_.counters[tables_.counters.entries[c].name] = counters_[c].value;
+    result_.counters[tables_.counters.entries[c].name] =
+        rules_.counter_value(static_cast<CounterId>(c));
   }
   return std::move(result_);
 }
 
-void OfflineAnalyzer::initial_sweep() {
-  for (std::size_t c = 0; c < tables_.conditions.entries.size(); ++c) {
-    eval_condition(static_cast<CondId>(c));
-  }
-  drain_fired(0);
-}
-
-void OfflineAnalyzer::process_record(const trace::TraceRecord& rec,
-                                     std::size_t index) {
+void OfflineAnalyzer::process_record(const trace::TraceRecord& rec) {
   now_ = rec.at;
   ClassifyResult cls = classifier_.classify(rec.frame, vars_);
   if (cls.filter == kInvalidId) return;
@@ -47,133 +37,35 @@ void OfflineAnalyzer::process_record(const trace::TraceRecord& rec,
   if (!eth) return;
   NodeId src = tables_.nodes.find_mac(eth->src);
   NodeId dst = tables_.nodes.find_mac(eth->dst);
+  // Each packet appears in the trace once per capturing node; it counts,
+  // and its faults would apply, only where the live engine sits.
   NodeId here = tables_.nodes.find(rec.node);
 
-  // Snapshot eligibility, as the live engine does.
-  std::vector<CounterId> eligible;
-  for (std::size_t c = 0; c < tables_.counters.entries.size(); ++c) {
-    const CounterEntry& e = tables_.counters.entries[c];
-    if (e.kind != CounterKind::kEvent || !counters_[c].enabled) continue;
-    if (e.filter != cls.filter || e.dir != rec.dir) continue;
-    if (e.src_node != src || e.dst_node != dst) continue;
-    // Each packet appears in the trace once per capturing node; count it
-    // only at the counter's home so tallies match the live run.
-    if (e.home != here) continue;
-    eligible.push_back(static_cast<CounterId>(c));
-  }
-  for (CounterId c : eligible) set_counter(c, counters_[c].value + 1);
-  drain_fired(index);
+  rules_.count_packet(cls.filter, rec.dir, src, dst, here);
 
   // Tally packet-fault activations the live FIE would have applied here.
-  for (std::size_t a = 0; a < tables_.actions.entries.size(); ++a) {
-    const ActionEntry& e = tables_.actions.entries[a];
-    if (!is_packet_fault(e.kind)) continue;
+  for (const ActionEntry& e : tables_.actions.entries) {
+    if (!is_packet_fault(e.kind) || e.cond == kInvalidId) continue;
     if (e.filter != cls.filter || e.dir != rec.dir) continue;
     if (e.src_node != src || e.dst_node != dst || e.exec_node != here) {
       continue;
     }
-    for (std::size_t c = 0; c < tables_.conditions.entries.size(); ++c) {
-      const CondEntry& cond = tables_.conditions.entries[c];
-      for (ActionId id : cond.actions) {
-        if (id == a && cond_state_[c] != 0) {
-          ++result_.would_have_fired_faults;
-        }
-      }
-    }
+    if (rules_.condition_state(e.cond)) ++result_.would_have_fired_faults;
   }
 }
 
-void OfflineAnalyzer::set_counter(CounterId id, i64 value) {
-  counters_[id].value = value;
-  for (TermId t : tables_.counters.entries[id].terms) eval_term(t);
-}
-
-void OfflineAnalyzer::eval_term(TermId id) {
-  const TermEntry& e = tables_.terms.entries[id];
-  auto value = [this](const Operand& o) {
-    return o.is_counter ? counters_[o.counter].value : o.constant;
-  };
-  bool s = eval_rel(e.op, value(e.lhs), value(e.rhs));
-  if (static_cast<bool>(term_state_[id]) == s) return;
-  term_state_[id] = s ? 1 : 0;
-  for (CondId c : e.conds) eval_condition(c);
-}
-
-void OfflineAnalyzer::eval_condition(CondId id) {
-  const CondEntry& e = tables_.conditions.entries[id];
-  bool stack[32];
-  int sp = 0;
-  for (const CondInstr& in : e.postfix) {
-    switch (in.op) {
-      case BoolOp::kTrue: stack[sp++] = true; break;
-      case BoolOp::kTerm: stack[sp++] = term_state_[in.term] != 0; break;
-      case BoolOp::kNot: stack[sp - 1] = !stack[sp - 1]; break;
-      case BoolOp::kAnd: --sp; stack[sp - 1] = stack[sp - 1] && stack[sp]; break;
-      case BoolOp::kOr: --sp; stack[sp - 1] = stack[sp - 1] || stack[sp]; break;
-    }
-  }
-  bool now = sp > 0 && stack[0];
-  bool before = cond_state_[id] != 0;
-  cond_state_[id] = now ? 1 : 0;
-  if (now && !before) fired_.push_back(id);
-}
-
-void OfflineAnalyzer::drain_fired(std::size_t record_index) {
-  std::size_t rounds = 0;
-  while (!fired_.empty() && !done_) {
-    if (++rounds > 1024) {
-      VWIRE_ERROR() << "offline analysis rule loop; aborting";
-      fired_.clear();
-      return;
-    }
-    CondId c = fired_.front();
-    fired_.erase(fired_.begin());
-    for (ActionId a : tables_.conditions.entries[c].actions) {
-      exec_action(a, c, record_index);
-      if (done_) return;
-    }
-  }
-}
-
-void OfflineAnalyzer::exec_action(ActionId id, CondId cond,
-                                  std::size_t record_index) {
-  const ActionEntry& e = tables_.actions.entries[id];
+void OfflineAnalyzer::action_fired(const ActionEntry& e, ActionId /*id*/,
+                                   CondId cond, u16 /*depth*/) {
   switch (e.kind) {
-    case ActionKind::kAssignCntr:
-      counters_[e.counter].enabled = true;
-      set_counter(e.counter, e.value);
-      return;
-    case ActionKind::kEnableCntr:
-      counters_[e.counter].enabled = true;
-      return;
-    case ActionKind::kDisableCntr:
-      counters_[e.counter].enabled = false;
-      return;
-    case ActionKind::kIncrCntr:
-      set_counter(e.counter, counters_[e.counter].value + e.value);
-      return;
-    case ActionKind::kDecrCntr:
-      set_counter(e.counter, counters_[e.counter].value - e.value);
-      return;
-    case ActionKind::kResetCntr:
-      set_counter(e.counter, 0);
-      return;
-    case ActionKind::kSetCurtime:
-      set_counter(e.counter, now_.ns / 1'000'000);
-      return;
-    case ActionKind::kElapsedTime:
-      set_counter(e.counter, now_.ns / 1'000'000 - counters_[e.counter].value);
-      return;
     case ActionKind::kStop:
-      done_ = true;
+      if (!result_.stopped) result_.stop_index = index_;
       result_.stopped = true;
-      result_.stop_index = record_index;
       return;
     case ActionKind::kFlagError:
-      result_.errors.push_back({record_index, now_, cond});
+      result_.errors.push_back({index_, now_, cond});
       return;
     default:
-      return;  // faults cannot be injected into a recorded past
+      return;  // FAIL cannot crash a node of a recorded past
   }
 }
 

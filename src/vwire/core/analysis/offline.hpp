@@ -4,19 +4,22 @@
 // The paper's motivation (§1) is replacing the manual inspection of
 // collected tcpdump traces; the FAE does this live.  OfflineAnalyzer closes
 // the loop for post-mortem work: the same compiled six tables are replayed
-// against a TraceBuffer, with the same counter/term/condition semantics.
+// against a TraceBuffer through the same RuleMachine the live engines run,
+// so counting, the eligibility snapshot, two-phase firing and the counter
+// actions are one implementation.
 //
 // Differences from the live engines, by construction:
-//  * evaluation is globally ordered and instantaneous — there is no
-//    control-plane propagation delay, so distributed rules behave as if
-//    every node shared one clock (the "ideal observer" view);
-//  * fault actions cannot be applied to the past; they are tallied as
-//    `would_have_fired` instead.
+//  * locality — the machine is the ideal observer: evaluation is globally
+//    ordered and instantaneous, with no control-plane propagation delay,
+//    so distributed rules behave as if every node shared one clock;
+//  * faults — packet faults cannot be applied to the past; they are tallied
+//    as `would_have_fired` instead.
 #pragma once
 
 #include <unordered_map>
 
 #include "vwire/core/engine/classifier.hpp"
+#include "vwire/core/engine/rules.hpp"
 #include "vwire/trace/trace.hpp"
 
 namespace vwire::core {
@@ -38,7 +41,7 @@ struct OfflineResult {
   bool passed() const { return errors.empty(); }
 };
 
-class OfflineAnalyzer {
+class OfflineAnalyzer : private RuleMachine::Host {
  public:
   explicit OfflineAnalyzer(TableSet tables);
 
@@ -46,31 +49,22 @@ class OfflineAnalyzer {
   OfflineResult analyze(const trace::TraceBuffer& trace);
 
  private:
-  struct CounterState {
-    i64 value{0};
-    bool enabled{false};
-  };
+  void process_record(const trace::TraceRecord& rec);
 
-  void initial_sweep();
-  void process_record(const trace::TraceRecord& rec, std::size_t index);
-  void set_counter(CounterId id, i64 value);
-  void eval_term(TermId id);
-  void eval_condition(CondId id);
-  void drain_fired(std::size_t record_index);
-  void exec_action(ActionId id, CondId cond, std::size_t record_index);
+  // RuleMachine::Host
+  TimePoint now() const override { return now_; }
+  void action_fired(const ActionEntry& e, ActionId id, CondId cond,
+                    u16 depth) override;
 
   TableSet tables_;
   Classifier classifier_;
   VarStore vars_;
-
-  std::vector<CounterState> counters_;
-  std::vector<char> term_state_;
-  std::vector<char> cond_state_;
-  std::vector<CondId> fired_;
+  RuleStats stats_;
+  RuleMachine rules_;
 
   TimePoint now_{};
+  std::size_t index_{0};  ///< record being replayed
   OfflineResult result_;
-  bool done_{false};
 };
 
 }  // namespace vwire::core

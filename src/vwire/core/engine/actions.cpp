@@ -20,8 +20,8 @@ EngineLayer::Fate EngineLayer::apply_faults(net::Packet& pkt,
     const ActionEntry& e = tables_.actions.entries[a];
     if (e.dir != dir || e.filter != filter) continue;
     if (e.src_node != src || e.dst_node != dst) continue;
-    CondId cond = action_cond_[a];
-    bool active = cond != kInvalidId && cond_state_[cond] != 0;
+    const CondId cond = e.cond;
+    bool active = cond != kInvalidId && rules_.condition_state(cond);
     if (e.kind == ActionKind::kReorder && !active) {
       // A reorder window that started collecting completes even if its
       // trigger condition has meanwhile gone false (e.g. an equality on
@@ -82,12 +82,12 @@ EngineLayer::Fate EngineLayer::apply_one(const ActionEntry& e, ActionId id,
     // this frame.  Recorded before the cases below move/consume the packet.
     f->record(sim_.now().ns, pkt.span(), pkt.parent_span(),
               obs::SpanEventKind::kFault,
-              static_cast<u16>(action_cond_[id]), static_cast<u8>(e.kind),
+              static_cast<u16>(e.cond), static_cast<u8>(e.kind),
               e.kind == ActionKind::kDelay ? e.delay.ns : 0);
   }
   auto record = [&]() -> obs::FiringRecord& {
     obs::FiringRecord& r = provenance_.claim();
-    fill_record(r, action_cond_[id], id, /*depth=*/0);
+    fill_record(r, e.cond, id, /*depth=*/0);
     r.filter = e.filter;
     r.packet_uid = uid;
     return r;
@@ -158,9 +158,10 @@ EngineLayer::Fate EngineLayer::apply_one(const ActionEntry& e, ActionId id,
     }
 
     case ActionKind::kReorder: {
-      if (reorder_done_[id]) return Fate::kRelease;  // window already served
+      // Served this edge's window already?  (An active rule has risen, so
+      // its rise count is never the map's default 0.)
+      if (reorder_served_[id] == rules_.rises(e.cond)) return Fate::kRelease;
       auto& buf = reorder_buf_[id];
-      reorder_dir_[id] = dir;
       buf.push_back(std::move(pkt));
       ++stats_.reorders_held;
       if (prov) {
@@ -173,7 +174,7 @@ EngineLayer::Fate EngineLayer::apply_one(const ActionEntry& e, ActionId id,
       // the bottom half is scheduled next" — here, one event later.
       std::vector<net::Packet> window = std::move(buf);
       reorder_buf_.erase(id);
-      reorder_done_[id] = true;
+      reorder_served_[id] = rules_.rises(e.cond);
       auto shared =
           std::make_shared<std::vector<net::Packet>>(std::move(window));
       std::vector<u16> order = e.reorder_order;

@@ -1,5 +1,7 @@
 #include "vwire/core/engine/engine.hpp"
 
+#include <algorithm>
+
 #include "vwire/util/logging.hpp"
 
 namespace vwire::core {
@@ -8,6 +10,7 @@ EngineLayer::EngineLayer(sim::Simulator& sim, EngineParams params)
     : sim_(sim),
       params_(params),
       rng_(params.seed),
+      rules_(*this, stats_, params.max_cascade_depth),
       provenance_(params.provenance_capacity) {}
 
 void EngineLayer::bind_metrics(obs::MetricsRegistry& reg,
@@ -22,25 +25,10 @@ void EngineLayer::load(TableSet tables) {
   tables_ = std::move(tables);
   classifier_ = std::make_unique<Classifier>(tables_.filters);
   vars_ = std::make_unique<VarStore>(tables_.filters.var_names.size());
-  counters_.assign(tables_.counters.entries.size(), {});
-  term_state_.assign(tables_.terms.entries.size(), 0);
-  cond_state_.assign(tables_.conditions.entries.size(), 0);
 
   self_ = node_ != nullptr ? tables_.nodes.find_mac(node_->mac()) : kInvalidId;
+  rules_.load(tables_, self_);
 
-  counters_by_filter_.assign(tables_.filters.entries.size(), {});
-  for (std::size_t c = 0; c < tables_.counters.entries.size(); ++c) {
-    const CounterEntry& e = tables_.counters.entries[c];
-    if (e.kind == CounterKind::kEvent && e.home == self_ &&
-        e.filter != kInvalidId) {
-      counters_by_filter_[e.filter].push_back(static_cast<CounterId>(c));
-    }
-  }
-
-  action_cond_.assign(tables_.actions.entries.size(), kInvalidId);
-  for (std::size_t a = 0; a < tables_.actions.entries.size(); ++a) {
-    action_cond_[a] = tables_.owning_cond(static_cast<ActionId>(a));
-  }
   local_fault_actions_.clear();
   for (std::size_t a = 0; a < tables_.actions.entries.size(); ++a) {
     const ActionEntry& e = tables_.actions.entries[a];
@@ -53,12 +41,10 @@ void EngineLayer::load(TableSet tables) {
   // its postfix, and every counter those terms compare.
   cond_counters_.assign(tables_.conditions.entries.size(), {});
   cond_terms_.assign(tables_.conditions.entries.size(), {});
+  auto add_unique = [](std::vector<u16>& ids, u16 id) {
+    if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+  };
   for (std::size_t c = 0; c < tables_.conditions.entries.size(); ++c) {
-    auto add_unique = [](auto& vec, auto id) {
-      for (auto v : vec)
-        if (v == id) return;
-      vec.push_back(id);
-    };
     for (const CondInstr& in : tables_.conditions.entries[c].postfix) {
       if (in.op != BoolOp::kTerm) continue;
       add_unique(cond_terms_[c], in.term);
@@ -69,7 +55,7 @@ void EngineLayer::load(TableSet tables) {
   }
 
   reorder_buf_.clear();
-  reorder_dir_.clear();
+  reorder_served_.clear();
   reseed_modifiers();
   // Fresh scenario, fresh provenance: the ring from a previous arm() must
   // not leak into this run's explain() output.
@@ -115,11 +101,11 @@ void EngineLayer::fill_record(obs::FiringRecord& r, CondId cond,
   if (cond != kInvalidId) {
     for (CounterId c : cond_counters_[cond]) {
       if (r.n_counters >= obs::FiringRecord::kMaxCounters) break;
-      r.counters[r.n_counters++] = {c, counters_[c].value};
+      r.counters[r.n_counters++] = {c, rules_.counter_value(c)};
     }
     for (TermId t : cond_terms_[cond]) {
       if (r.n_terms >= obs::FiringRecord::kMaxTerms) break;
-      r.terms[r.n_terms++] = {t, term_state_[t] != 0};
+      r.terms[r.n_terms++] = {t, rules_.term_state(t)};
     }
   }
 }
@@ -130,33 +116,17 @@ void EngineLayer::start(NodeId controller_node) {
   running_ = true;
   // Initial sweep: conditions whose value is already true (notably TRUE
   // rules) fire their edge now, on every node that owns actions.
-  for (std::size_t c = 0; c < tables_.conditions.entries.size(); ++c) {
-    eval_condition(static_cast<CondId>(c), /*depth=*/0);
-  }
-  drain_fired();
+  rules_.start();
 }
 
 void EngineLayer::reset() {
-  std::fill(counters_.begin(), counters_.end(), CounterState{});
-  std::fill(term_state_.begin(), term_state_.end(), 0);
-  std::fill(cond_state_.begin(), cond_state_.end(), 0);
+  rules_.reset();
   if (vars_) vars_->reset();
   reorder_buf_.clear();
-  reorder_dir_.clear();
+  reorder_served_.clear();
   reseed_modifiers();
   provenance_.clear();
   running_ = false;
-}
-
-i64 EngineLayer::counter_value(CounterId id) const {
-  return counters_[id].value;
-}
-bool EngineLayer::counter_enabled(CounterId id) const {
-  return counters_[id].enabled;
-}
-bool EngineLayer::term_state(TermId id) const { return term_state_[id] != 0; }
-bool EngineLayer::condition_state(CondId id) const {
-  return cond_state_[id] != 0;
 }
 
 bool EngineLayer::is_transport_frame(const net::Packet& pkt) const {
@@ -199,24 +169,10 @@ void EngineLayer::process(net::Packet pkt, net::Direction dir) {
   if (cls.filter != kInvalidId) {
     ++stats_.packets_matched;
     // Event counters homed here that watch this packet type and flow.
-    // Eligibility is SNAPSHOT before any update: a counter enabled by a
-    // cascade this packet triggers must not count the packet itself (the
-    // paper's Fig 5 script relies on this — the handshake ACK enables the
-    // DATA counter without being counted as data).
-    CounterId eligible[16];
-    std::size_t n_eligible = 0;
-    for (CounterId cid : counters_by_filter_[cls.filter]) {
-      const CounterEntry& e = tables_.counters.entries[cid];
-      if (!counters_[cid].enabled) continue;
-      if (e.dir != dir) continue;
-      if (e.src_node != src || e.dst_node != dst) continue;
-      if (n_eligible < std::size(eligible)) eligible[n_eligible++] = cid;
+    if (rules_.count_packet(cls.filter, dir, src, dst, self_) > 0 &&
+        context_ != nullptr) {
+      context_->note_activity(sim_.now());
     }
-    for (std::size_t i = 0; i < n_eligible; ++i) {
-      if (context_ != nullptr) context_->note_activity(sim_.now());
-      set_counter(eligible[i], counters_[eligible[i]].value + 1, 0);
-    }
-    drain_fired();
   }
 
   Fate fate = apply_faults(pkt, dir, cls.filter, src, dst);
@@ -256,7 +212,6 @@ void EngineLayer::release(net::Packet pkt, net::Direction dir, Duration cost) {
 void EngineLayer::on_node_crash() {
   for (auto& [a, buf] : reorder_buf_) stats_.drops += buf.size();
   reorder_buf_.clear();
-  reorder_dir_.clear();
   ++purge_gen_;
   last_release_[0] = last_release_[1] = {};
 }
@@ -270,179 +225,37 @@ void EngineLayer::release_now(net::Packet&& pkt, net::Direction dir) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig 4(b) cascade
+// RuleMachine hooks
 
-void EngineLayer::set_counter(CounterId id, i64 value, int depth) {
-  if (depth > static_cast<int>(params_.max_cascade_depth)) {
-    ++stats_.cascade_overflows;
-    if (context_ != nullptr) {
-      context_->on_error({sim_.now(), self_, kInvalidId});
-    }
-    VWIRE_ERROR() << "engine cascade depth exceeded (rule loop?)";
-    return;
-  }
-  counters_[id].value = value;
-  ++stats_.counter_updates;
-  touch_counter(id, depth);
-}
-
-void EngineLayer::touch_counter(CounterId id, int depth) {
-  const CounterEntry& e = tables_.counters.entries[id];
+void EngineLayer::counter_written(CounterId id, i64 value) {
   // Mirror the new value to remote term-evaluating nodes (paper §5.2).
-  for (NodeId n : e.notify_nodes) {
-    send_control(n, control::make_counter_update(id, counters_[id].value));
-  }
-  // Re-evaluate local terms.
-  for (TermId t : e.terms) {
-    if (tables_.terms.entries[t].eval_node == self_) {
-      eval_term(t, depth + 1);
-    }
+  for (NodeId n : tables_.counters.entries[id].notify_nodes) {
+    send_control(n, control::make_counter_update(id, value));
   }
 }
 
-void EngineLayer::eval_term(TermId id, int depth) {
-  const TermEntry& e = tables_.terms.entries[id];
-  auto value = [this](const Operand& o) {
-    return o.is_counter ? counters_[o.counter].value : o.constant;
-  };
-  bool s = eval_rel(e.op, value(e.lhs), value(e.rhs));
-  ++stats_.terms_evaluated;
-  if (static_cast<bool>(term_state_[id]) == s) return;
-  term_state_[id] = s ? 1 : 0;
-  // Status change: tell remote condition evaluators (paper: "a term status
-  // is conveyed only in case of a change in its status").
-  for (NodeId n : e.notify_nodes) {
-    send_control(n, control::make_term_status(id, s));
-  }
-  for (CondId c : e.conds) {
-    const CondEntry& cond = tables_.conditions.entries[c];
-    for (NodeId n : cond.eval_nodes) {
-      if (n == self_) {
-        eval_condition(c, depth + 1);
-        break;
-      }
-    }
+void EngineLayer::term_changed(TermId id, bool state) {
+  // "A term status is conveyed only in case of a change in its status."
+  for (NodeId n : tables_.terms.entries[id].notify_nodes) {
+    send_control(n, control::make_term_status(id, state));
   }
 }
 
-void EngineLayer::eval_condition(CondId id, int depth) {
-  const CondEntry& e = tables_.conditions.entries[id];
-  // Only evaluate where one of the condition's actions lives.
-  bool ours = false;
-  for (NodeId n : e.eval_nodes) ours = ours || n == self_;
-  if (!ours) return;
-
-  ++stats_.conditions_evaluated;
-  // Postfix evaluation over term states.
-  bool stack[32];
-  int sp = 0;
-  for (const CondInstr& in : e.postfix) {
-    switch (in.op) {
-      case BoolOp::kTrue:
-        stack[sp++] = true;
-        break;
-      case BoolOp::kTerm:
-        stack[sp++] = term_state_[in.term] != 0;
-        break;
-      case BoolOp::kNot:
-        stack[sp - 1] = !stack[sp - 1];
-        break;
-      case BoolOp::kAnd:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] && stack[sp];
-        break;
-      case BoolOp::kOr:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] || stack[sp];
-        break;
-    }
-  }
-  bool now = sp > 0 && stack[0];
-  bool before = cond_state_[id] != 0;
-  cond_state_[id] = now ? 1 : 0;
-  if (now && !before) {
-    // Rising edge: queue the rule (two-phase firing), remembering how deep
-    // in the update cascade the edge rose.
-    fired_.emplace_back(id, static_cast<u16>(depth));
-    // A fresh edge re-arms any completed REORDER windows of this rule.
-    for (ActionId a : e.actions) {
-      if (tables_.actions.entries[a].kind == ActionKind::kReorder) {
-        reorder_done_.erase(a);
-      }
-    }
-  }
+void EngineLayer::rule_loop() {
+  if (context_ != nullptr) context_->on_error({sim_.now(), self_, kInvalidId});
 }
 
-void EngineLayer::drain_fired() {
-  if (draining_) return;  // the outermost drain owns the queue
-  draining_ = true;
-  std::size_t rounds = 0;
-  while (!fired_.empty()) {
-    if (++rounds > static_cast<std::size_t>(params_.max_cascade_depth) * 16) {
-      ++stats_.cascade_overflows;
-      if (context_ != nullptr) {
-        context_->on_error({sim_.now(), self_, kInvalidId});
-      }
-      VWIRE_ERROR() << "engine rule-firing loop exceeded bound";
-      fired_.clear();
-      break;
-    }
-    auto [c, d] = fired_.front();
-    fired_.pop_front();
-    fire_actions(c, d);
-  }
-  draining_ = false;
-}
-
-void EngineLayer::fire_actions(CondId id, u16 fire_depth) {
-  for (ActionId a : tables_.conditions.entries[id].actions) {
-    const ActionEntry& e = tables_.actions.entries[a];
-    if (e.exec_node != self_) continue;  // that node fires it itself
-    if (is_packet_fault(e.kind)) continue;  // level-triggered on packets
-    exec_immediate(a, id, fire_depth);
-  }
-}
-
-void EngineLayer::exec_immediate(ActionId id, CondId cond, u16 fire_depth) {
-  const int depth = 0;
-  const ActionEntry& e = tables_.actions.entries[id];
-  ++stats_.actions_executed;
+void EngineLayer::action_fired(const ActionEntry& e, ActionId id, CondId cond,
+                               u16 depth) {
   ++actions_this_packet_;
   if (provenance_.enabled()) {
     // Snapshot before executing: the record shows the state that made the
     // rule fire, not the state the action leaves behind.
     obs::FiringRecord& r = provenance_.claim();
-    fill_record(r, cond, id, fire_depth);
+    fill_record(r, cond, id, depth);
     r.value = e.value;
   }
   switch (e.kind) {
-    case ActionKind::kAssignCntr:
-      counters_[e.counter].enabled = true;
-      set_counter(e.counter, e.value, depth + 1);
-      return;
-    case ActionKind::kEnableCntr:
-      counters_[e.counter].enabled = true;
-      return;
-    case ActionKind::kDisableCntr:
-      counters_[e.counter].enabled = false;
-      return;
-    case ActionKind::kIncrCntr:
-      set_counter(e.counter, counters_[e.counter].value + e.value, depth + 1);
-      return;
-    case ActionKind::kDecrCntr:
-      set_counter(e.counter, counters_[e.counter].value - e.value, depth + 1);
-      return;
-    case ActionKind::kResetCntr:
-      set_counter(e.counter, 0, depth + 1);
-      return;
-    case ActionKind::kSetCurtime:
-      set_counter(e.counter, sim_.now().ns / 1'000'000, depth + 1);  // ms
-      return;
-    case ActionKind::kElapsedTime:
-      set_counter(e.counter,
-                  sim_.now().ns / 1'000'000 - counters_[e.counter].value,
-                  depth + 1);
-      return;
     case ActionKind::kFail:
       VWIRE_INFO() << "FAIL(" << tables_.nodes.entries[e.fail_node].name
                    << ") at " << sim_.now().seconds() << "s";
@@ -467,7 +280,7 @@ void EngineLayer::exec_immediate(ActionId id, CondId cond, u16 fire_depth) {
       }
       return;
     default:
-      return;  // packet faults handled on the packet path
+      return;  // counter actions: the RuleMachine applies them
   }
 }
 
@@ -498,27 +311,19 @@ void EngineLayer::handle_control(const net::MacAddress& /*from*/,
   switch (msg->type) {
     case control::MsgType::kCounterUpdate: {
       const auto& m = std::get<control::CounterUpdateMsg>(msg->body);
-      if (m.counter >= counters_.size()) return;
-      counters_[m.counter].value = m.value;
+      if (m.counter >= tables_.counters.entries.size()) return;
       if (context_ != nullptr) context_->note_activity(sim_.now());
       // Mirrored counters only drive local term evaluation; they are not
       // re-broadcast (their home does that).
-      for (TermId t : tables_.counters.entries[m.counter].terms) {
-        if (tables_.terms.entries[t].eval_node == self_) eval_term(t, 0);
-      }
-      drain_fired();
+      rules_.mirror_counter(m.counter, m.value);
       return;
     }
     case control::MsgType::kTermStatus: {
       const auto& m = std::get<control::TermStatusMsg>(msg->body);
-      if (m.term >= term_state_.size()) return;
-      if (static_cast<bool>(term_state_[m.term]) == m.state) return;
-      term_state_[m.term] = m.state ? 1 : 0;
-      if (context_ != nullptr) context_->note_activity(sim_.now());
-      for (CondId c : tables_.terms.entries[m.term].conds) {
-        eval_condition(c, 0);
+      if (m.term >= tables_.terms.entries.size()) return;
+      if (rules_.mirror_term(m.term, m.state) && context_ != nullptr) {
+        context_->note_activity(sim_.now());
       }
-      drain_fired();
       return;
     }
     default:

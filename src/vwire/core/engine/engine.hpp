@@ -10,6 +10,11 @@
 //   trigger actions (faults consume/divert the packet, counter updates
 //   release it)
 //
+// The counter → term → condition → action cascade itself is the
+// RuleMachine's (rules.hpp), shared with the offline analyzer; this layer
+// adds classification, packet faults, STOP/FLAG_ERROR/FAIL, provenance and
+// the control plane.
+//
 // Distributed state (paper §5.2): counters mirror to the nodes that
 // evaluate terms over them; term status mirrors to the nodes that evaluate
 // dependent conditions; conditions are evaluated at the nodes where their
@@ -17,12 +22,10 @@
 // real (simulated) wire time — exactly the deployment the paper describes.
 #pragma once
 
-#include <deque>
-#include <functional>
-
 #include "vwire/core/control/agent.hpp"
 #include "vwire/core/control/messages.hpp"
 #include "vwire/core/engine/classifier.hpp"
+#include "vwire/core/engine/rules.hpp"
 #include "vwire/obs/metrics.hpp"
 #include "vwire/obs/provenance.hpp"
 #include "vwire/sim/timer.hpp"
@@ -50,13 +53,9 @@ struct EngineParams {
   std::size_t provenance_capacity{4096};
 };
 
-struct EngineStats {
+struct EngineStats : RuleStats {
   u64 packets_seen{0};
   u64 packets_matched{0};
-  u64 counter_updates{0};
-  u64 terms_evaluated{0};
-  u64 conditions_evaluated{0};
-  u64 actions_executed{0};
   u64 drops{0};
   u64 delays{0};
   u64 dups{0};
@@ -65,7 +64,6 @@ struct EngineStats {
   u64 reorders_released{0};
   u64 control_tx{0};
   u64 control_rx{0};
-  u64 cascade_overflows{0};
 };
 
 /// Single source of field names for formatting and registry exposure
@@ -135,7 +133,7 @@ class ScenarioContext {
   std::vector<ScenarioError> errors_;
 };
 
-class EngineLayer final : public host::Layer {
+class EngineLayer final : public host::Layer, private RuleMachine::Host {
  public:
   EngineLayer(sim::Simulator& sim, EngineParams params = {});
   ~EngineLayer() override;
@@ -183,10 +181,7 @@ class EngineLayer final : public host::Layer {
   void handle_control(const net::MacAddress& from, BytesView payload);
 
   // --- introspection (FAE reporting, tests) -----------------------------------
-  i64 counter_value(CounterId id) const;
-  bool counter_enabled(CounterId id) const;
-  bool term_state(TermId id) const;
-  bool condition_state(CondId id) const;
+  i64 counter_value(CounterId id) const { return rules_.counter_value(id); }
   const EngineStats& stats() const { return stats_; }
   const TableSet& tables() const { return tables_; }
   NodeId self() const { return self_; }
@@ -200,11 +195,6 @@ class EngineLayer final : public host::Layer {
   void bind_metrics(obs::MetricsRegistry& reg, const std::string& prefix);
 
  private:
-  struct CounterState {
-    i64 value{0};
-    bool enabled{false};
-  };
-
   /// How a fault disposed of the packet in flight.
   enum class Fate : u8 { kRelease, kConsumed, kDiverted };
 
@@ -212,19 +202,14 @@ class EngineLayer final : public host::Layer {
   void release(net::Packet pkt, net::Direction dir, Duration cost);
   void release_now(net::Packet&& pkt, net::Direction dir);
 
-  // Fig 4(b) cascade.  Rule firing is two-phase: condition evaluation
-  // happens against the state of the triggering event and rising edges are
-  // QUEUED; actions execute afterwards (drain_fired).  This matters when
-  // one rule's action (e.g. RESET_CNTR) would immediately falsify a sibling
-  // condition that was true at event time — the paper's Fig 6 script fires
-  // FAIL+RESET and STOP off the same counter value.
-  void set_counter(CounterId id, i64 value, int depth);
-  void touch_counter(CounterId id, int depth);  ///< cascade after a change
-  void eval_term(TermId id, int depth);
-  void eval_condition(CondId id, int depth);
-  void drain_fired();
-  void fire_actions(CondId id, u16 depth);
-  void exec_immediate(ActionId id, CondId cond, u16 depth);
+  // RuleMachine::Host: control-plane mirroring, provenance and the
+  // STOP/FLAG_ERROR/FAIL actions.
+  TimePoint now() const override { return sim_.now(); }
+  void counter_written(CounterId id, i64 value) override;
+  void term_changed(TermId id, bool state) override;
+  void action_fired(const ActionEntry& e, ActionId id, CondId cond,
+                    u16 depth) override;
+  void rule_loop() override;
 
   /// Fills a claimed ring slot for `action` of `cond`: stamps time/node/
   /// kind and snapshots the condition's counters and terms *before* the
@@ -266,24 +251,18 @@ class EngineLayer final : public host::Layer {
   /// crash check it and drop themselves instead of resurrecting packets.
   u64 purge_gen_{0};
 
-  std::vector<CounterState> counters_;
-  std::vector<char> term_state_;
-  std::vector<char> cond_state_;
-
   // Precomputed per-node indices.
-  std::vector<std::vector<CounterId>> counters_by_filter_;  ///< home==self
   std::vector<ActionId> local_fault_actions_;  ///< packet faults, exec==self
-  std::vector<CondId> action_cond_;            ///< owning condition per action
   // Counters/terms referenced by each condition, for provenance snapshots.
   std::vector<std::vector<CounterId>> cond_counters_;
   std::vector<std::vector<TermId>> cond_terms_;
 
   // REORDER buffers, keyed by action id.  A REORDER collects one window of
   // packets per rising edge of its condition, releases them in the scripted
-  // permutation, and is done until the condition re-arms.
+  // permutation, and is done until the condition rises again: served_ holds
+  // the condition's rise count when the window completed.
   std::unordered_map<ActionId, std::vector<net::Packet>> reorder_buf_;
-  std::unordered_map<ActionId, net::Direction> reorder_dir_;
-  std::unordered_map<ActionId, bool> reorder_done_;
+  std::unordered_map<ActionId, u32> reorder_served_;
 
   // Per-direction release ordering guard: costs are latency, never
   // reordering.
@@ -291,11 +270,6 @@ class EngineLayer final : public host::Layer {
 
   // Cost accounting for the packet currently being processed.
   std::size_t actions_this_packet_{0};
-
-  // Two-phase rule firing (see above); each queued edge remembers the
-  // cascade depth at which it rose, for provenance.
-  std::deque<std::pair<CondId, u16>> fired_;
-  bool draining_{false};
 
   // Fault-modifier state: per-action match counters (RATE) and RNG streams
   // (PROB), rebuilt from modifier_seed_ on load()/reset() so a re-armed
@@ -306,6 +280,7 @@ class EngineLayer final : public host::Layer {
 
   Rng rng_;
   EngineStats stats_;
+  RuleMachine rules_;
   obs::ProvenanceRing provenance_;
   obs::Histogram* proc_hist_{nullptr};  ///< per-packet processing cost (ns)
 };

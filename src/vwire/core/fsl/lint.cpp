@@ -214,33 +214,14 @@ Interval operand_interval(const TableSet& t, const core::Operand& o) {
   return {o.constant, o.constant};
 }
 
-Truth truth_not(Truth x) {
-  if (x == Truth::kTrue) return Truth::kFalse;
-  if (x == Truth::kFalse) return Truth::kTrue;
-  return Truth::kUnknown;
-}
-
-Truth truth_and(Truth a, Truth b) {
-  if (a == Truth::kFalse || b == Truth::kFalse) return Truth::kFalse;
-  if (a == Truth::kTrue && b == Truth::kTrue) return Truth::kTrue;
-  return Truth::kUnknown;
-}
-
-Truth truth_or(Truth a, Truth b) {
-  if (a == Truth::kTrue || b == Truth::kTrue) return Truth::kTrue;
-  if (a == Truth::kFalse && b == Truth::kFalse) return Truth::kFalse;
-  return Truth::kUnknown;
-}
-
 void check_conditions(const AstScenario* sc, const TableSet& t,
                       std::vector<Diagnostic>& out) {
   if (sc == nullptr || t.conditions.entries.size() != sc->rules.size()) return;
   for (std::size_t c = 0; c < t.conditions.entries.size(); ++c) {
     const core::CondEntry& cond = t.conditions.entries[c];
-    bool has_term = false;
-    for (const CondInstr& in : cond.postfix) {
-      if (in.op == core::BoolOp::kTerm) has_term = true;
-    }
+    const bool has_term = std::any_of(
+        cond.postfix.begin(), cond.postfix.end(),
+        [](const CondInstr& in) { return in.op == core::BoolOp::kTerm; });
     Truth truth =
         eval_condition_interval(t, static_cast<core::CondId>(c));
     if (truth == Truth::kFalse) {
@@ -481,7 +462,7 @@ Truth eval_rel_interval(core::RelOp op, Interval a, Interval b) {
       if (a.hi < b.lo || b.hi < a.lo) return Truth::kFalse;
       return Truth::kUnknown;
     case core::RelOp::kNe:
-      return truth_not(eval_rel_interval(core::RelOp::kEq, a, b));
+      return TruthLogic::negate(eval_rel_interval(core::RelOp::kEq, a, b));
   }
   return Truth::kUnknown;
 }
@@ -522,38 +503,16 @@ Interval counter_value_interval(const core::TableSet& tables,
 Truth eval_condition_interval(const core::TableSet& tables,
                               core::CondId id) {
   if (id >= tables.conditions.entries.size()) return Truth::kUnknown;
-  std::vector<Truth> stack;
-  for (const core::CondInstr& in : tables.conditions.entries[id].postfix) {
-    switch (in.op) {
-      case core::BoolOp::kTrue:
-        stack.push_back(Truth::kTrue);
-        break;
-      case core::BoolOp::kTerm: {
-        if (in.term >= tables.terms.entries.size()) return Truth::kUnknown;
-        const core::TermEntry& term = tables.terms.entries[in.term];
-        stack.push_back(eval_rel_interval(
-            term.op, operand_interval(tables, term.lhs),
-            operand_interval(tables, term.rhs)));
-        break;
-      }
-      case core::BoolOp::kNot: {
-        if (stack.empty()) return Truth::kUnknown;
-        stack.back() = truth_not(stack.back());
-        break;
-      }
-      case core::BoolOp::kAnd:
-      case core::BoolOp::kOr: {
-        if (stack.size() < 2) return Truth::kUnknown;
-        Truth b = stack.back();
-        stack.pop_back();
-        Truth a = stack.back();
-        stack.back() =
-            in.op == core::BoolOp::kAnd ? truth_and(a, b) : truth_or(a, b);
-        break;
-      }
-    }
-  }
-  return stack.size() == 1 ? stack.back() : Truth::kUnknown;
+  const auto& prog = tables.conditions.entries[id].postfix;
+  std::vector<Truth> stack(prog.size());
+  auto leaf = [&tables](core::TermId t) {
+    if (t >= tables.terms.entries.size()) return Truth::kUnknown;
+    const core::TermEntry& term = tables.terms.entries[t];
+    return eval_rel_interval(term.op, operand_interval(tables, term.lhs),
+                             operand_interval(tables, term.rhs));
+  };
+  return core::eval_postfix<TruthLogic>(prog, leaf, stack)
+      .value_or(Truth::kUnknown);
 }
 
 // --- entry points ----------------------------------------------------------

@@ -69,6 +69,27 @@ Interval interval_offset(Interval iv, i64 delta);
 /// Three-valued truth for abstract evaluation.
 enum class Truth : u8 { kFalse, kTrue, kUnknown };
 
+/// Kleene logic over Truth, for core::eval_postfix: lint's interval domain
+/// and fsl::mc's abstract states evaluate conditions with it.
+struct TruthLogic {
+  using Value = Truth;
+  static constexpr Truth kTrue = Truth::kTrue;
+  static Truth negate(Truth x) {
+    if (x == Truth::kUnknown) return x;
+    return x == Truth::kTrue ? Truth::kFalse : Truth::kTrue;
+  }
+  static Truth conj(Truth a, Truth b) {
+    if (a == Truth::kFalse || b == Truth::kFalse) return Truth::kFalse;
+    return a == Truth::kTrue && b == Truth::kTrue ? Truth::kTrue
+                                                  : Truth::kUnknown;
+  }
+  static Truth disj(Truth a, Truth b) {
+    if (a == Truth::kTrue || b == Truth::kTrue) return Truth::kTrue;
+    return a == Truth::kFalse && b == Truth::kFalse ? Truth::kFalse
+                                                    : Truth::kUnknown;
+  }
+};
+
 /// Abstract comparison: definitely-true / definitely-false over all
 /// concrete value pairs drawn from the intervals, else unknown.
 Truth eval_rel_interval(core::RelOp op, Interval a, Interval b);

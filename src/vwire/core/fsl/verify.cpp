@@ -114,23 +114,6 @@ struct Chooser {
   }
 };
 
-Truth truth_not(Truth t) {
-  if (t == Truth::kUnknown) return Truth::kUnknown;
-  return t == Truth::kTrue ? Truth::kFalse : Truth::kTrue;
-}
-
-Truth truth_and(Truth a, Truth b) {
-  if (a == Truth::kFalse || b == Truth::kFalse) return Truth::kFalse;
-  if (a == Truth::kTrue && b == Truth::kTrue) return Truth::kTrue;
-  return Truth::kUnknown;
-}
-
-Truth truth_or(Truth a, Truth b) {
-  if (a == Truth::kTrue || b == Truth::kTrue) return Truth::kTrue;
-  if (a == Truth::kFalse && b == Truth::kFalse) return Truth::kFalse;
-  return Truth::kUnknown;
-}
-
 RelOp flip(RelOp op) {
   switch (op) {
     case RelOp::kGt: return RelOp::kLt;
@@ -224,9 +207,6 @@ class Checker {
   // --- setup ---------------------------------------------------------------
 
   void prepare() {
-    const std::size_t nc = t_.counters.entries.size();
-    const std::size_t nconds = t_.conditions.entries.size();
-
     // Small-constant bound K: every constant a term compares against (or an
     // action writes) stays concrete, capped by max_constant so a pathological
     // script cannot force a huge explicit range.
@@ -252,30 +232,6 @@ class Checker {
     top_ = bound_ + 1;
     bot_ = -(bound_ + 1);
     any_ = bound_ + 2;
-
-    // Counter → dependent conditions, for the resolved-truth cache.
-    cond_reads_.assign(nconds, {});
-    counter_conds_.assign(nc, {});
-    for (std::size_t c = 0; c < nconds; ++c) {
-      for (const core::CondInstr& in : t_.conditions.entries[c].postfix) {
-        if (in.op != core::BoolOp::kTerm ||
-            in.term >= t_.terms.entries.size()) {
-          continue;
-        }
-        const core::TermEntry& te = t_.terms.entries[in.term];
-        for (const core::Operand* o : {&te.lhs, &te.rhs}) {
-          if (o->is_counter && o->counter < nc) {
-            cond_reads_[c].push_back(o->counter);
-            counter_conds_[o->counter].push_back(static_cast<CondId>(c));
-          }
-        }
-      }
-    }
-
-    owning_.resize(t_.actions.entries.size());
-    for (std::size_t a = 0; a < t_.actions.entries.size(); ++a) {
-      owning_[a] = t_.owning_cond(static_cast<ActionId>(a));
-    }
 
     rate_index_.assign(t_.actions.entries.size(), kInvalidId);
     u16 nrate = 0;
@@ -324,53 +280,34 @@ class Checker {
 
   void write_val(AbsState& st, CounterId c, i32 v) {
     st.val[c] = v;
-    for (CondId d : counter_conds_[c]) resolved_[d] = -1;
+    // The compiler's dependency fan-out: the conditions reading counter c.
+    for (core::TermId t : t_.counters.entries[c].terms) {
+      for (CondId d : t_.terms.entries[t].conds) resolved_[d] = -1;
+    }
   }
 
   Truth eval_cond(const AbsState& st, CondId id) const {
-    std::vector<Truth> stack;
-    for (const core::CondInstr& in : t_.conditions.entries[id].postfix) {
-      switch (in.op) {
-        case core::BoolOp::kTrue:
-          stack.push_back(Truth::kTrue);
-          break;
-        case core::BoolOp::kTerm: {
-          if (in.term >= t_.terms.entries.size()) return Truth::kUnknown;
-          const core::TermEntry& te = t_.terms.entries[in.term];
-          Truth t = Truth::kUnknown;
-          if (te.lhs.is_counter && te.rhs.is_counter) {
-            t = cmp_abs(st.val[te.lhs.counter], te.op,
-                        st.val[te.rhs.counter]);
-          } else if (te.lhs.is_counter) {
-            t = cmp_const(st.val[te.lhs.counter], te.op, te.rhs.constant);
-          } else if (te.rhs.is_counter) {
-            t = cmp_const(st.val[te.rhs.counter], flip(te.op),
-                          te.lhs.constant);
-          } else {
-            t = core::eval_rel(te.op, te.lhs.constant, te.rhs.constant)
-                    ? Truth::kTrue
-                    : Truth::kFalse;
-          }
-          stack.push_back(t);
-          break;
-        }
-        case core::BoolOp::kNot:
-          if (stack.empty()) return Truth::kUnknown;
-          stack.back() = truth_not(stack.back());
-          break;
-        case core::BoolOp::kAnd:
-        case core::BoolOp::kOr: {
-          if (stack.size() < 2) return Truth::kUnknown;
-          Truth b = stack.back();
-          stack.pop_back();
-          stack.back() = in.op == core::BoolOp::kAnd
-                             ? truth_and(stack.back(), b)
-                             : truth_or(stack.back(), b);
-          break;
-        }
+    const auto& prog = t_.conditions.entries[id].postfix;
+    std::vector<Truth> stack(prog.size());
+    auto leaf = [&](core::TermId term) {
+      if (term >= t_.terms.entries.size()) return Truth::kUnknown;
+      const core::TermEntry& te = t_.terms.entries[term];
+      if (te.lhs.is_counter && te.rhs.is_counter) {
+        return cmp_abs(st.val[te.lhs.counter], te.op, st.val[te.rhs.counter]);
       }
-    }
-    return stack.size() == 1 ? stack.back() : Truth::kUnknown;
+      if (te.lhs.is_counter) {
+        return cmp_const(st.val[te.lhs.counter], te.op, te.rhs.constant);
+      }
+      if (te.rhs.is_counter) {
+        return cmp_const(st.val[te.rhs.counter], flip(te.op),
+                         te.lhs.constant);
+      }
+      return core::eval_rel(te.op, te.lhs.constant, te.rhs.constant)
+                 ? Truth::kTrue
+                 : Truth::kFalse;
+    };
+    return core::eval_postfix<TruthLogic>(prog, leaf, stack)
+        .value_or(Truth::kUnknown);
   }
 
   bool cond_truth(const AbsState& st, CondId id, Chooser& ch) {
@@ -489,7 +426,7 @@ class Checker {
           st.failed[e.exec_node] != 0) {
         continue;
       }
-      const CondId owner = owning_[a];
+      const CondId owner = e.cond;
       if (owner == kInvalidId || st.cond_true[owner] == 0) continue;
       if (e.rate_n >= 2) {
         const u16 ri = rate_index_[a];
@@ -595,9 +532,6 @@ class Checker {
   i32 any_{0};
 
   std::vector<Flow> flows_;
-  std::vector<std::vector<CounterId>> cond_reads_;
-  std::vector<std::vector<CondId>> counter_conds_;
-  std::vector<CondId> owning_;
   std::vector<u16> rate_index_;
   u16 nrate_{0};
 

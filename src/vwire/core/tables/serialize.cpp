@@ -4,7 +4,9 @@
 // structures" (paper §3.2); faithfully, the tables travel over the
 // simulated network as the payload of the control plane's INIT message, so
 // every engine works from a deserialized copy, never from shared memory.
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "vwire/core/tables/tables.hpp"
@@ -44,6 +46,77 @@ net::MacAddress get_mac(ByteReader& r) {
   std::array<u8, 6> a{};
   std::copy(b.begin(), b.end(), a.begin());
   return net::MacAddress(a);
+}
+
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("bad tables: ") + what);
+}
+
+/// Every id a consumer indexes with must be in range, so a hostile or
+/// corrupted INIT fails its ack instead of reading out of bounds later.
+/// Scalar node fields (home, eval_node, exec_node, src/dst) are only ever
+/// compared with a node's own id; one naming no node just never matches.
+void validate(const TableSet& t) {
+  const std::size_t nfilters = t.filters.entries.size();
+  const std::size_t nnodes = t.nodes.entries.size();
+  const std::size_t ncounters = t.counters.entries.size();
+  const std::size_t nterms = t.terms.entries.size();
+  const std::size_t nconds = t.conditions.entries.size();
+  // kInvalidId means "none" wherever a field is optional.
+  auto opt = [](u16 id, std::size_t n) { return id == kInvalidId || id < n; };
+  auto all = [](const std::vector<u16>& ids, std::size_t n) {
+    return std::all_of(ids.begin(), ids.end(), [n](u16 id) { return id < n; });
+  };
+
+  for (const FilterEntry& f : t.filters.entries) {
+    for (const FilterTuple& tp : f.tuples) {
+      require(opt(tp.var, t.filters.var_names.size()), "variable id");
+    }
+  }
+  for (const CounterEntry& c : t.counters.entries) {
+    require(opt(c.filter, nfilters) && all(c.notify_nodes, nnodes) &&
+                all(c.terms, nterms),
+            "counter entry id");
+  }
+  for (const TermEntry& e : t.terms.entries) {
+    require((!e.lhs.is_counter || e.lhs.counter < ncounters) &&
+                (!e.rhs.is_counter || e.rhs.counter < ncounters) &&
+                all(e.notify_nodes, nnodes) && all(e.conds, nconds),
+            "term entry id");
+  }
+  for (std::size_t c = 0; c < nconds; ++c) {
+    const CondEntry& e = t.conditions.entries[c];
+    // Well-formed = evaluates, with in-range term ids.  The empty program
+    // is accepted; the engines read it as never holding.
+    auto stack = std::make_unique<bool[]>(e.postfix.size());
+    require(e.postfix.empty() ||
+                eval_postfix<BoolLogic>(
+                    e.postfix, [](TermId) { return false; },
+                    std::span<bool>(stack.get(), e.postfix.size()))
+                    .has_value(),
+            "malformed condition program");
+    for (const CondInstr& in : e.postfix) {
+      require(in.op != BoolOp::kTerm || in.term < nterms, "program term id");
+    }
+    require(all(e.eval_nodes, nnodes) &&
+                all(e.actions, t.actions.entries.size()),
+            "condition entry id");
+    for (ActionId a : e.actions) {
+      require(t.actions.entries[a].cond == c, "action back-reference");
+    }
+  }
+  for (const ActionEntry& a : t.actions.entries) {
+    require(a.kind <= ActionKind::kElapsedTime, "action kind");
+    require(opt(a.filter, nfilters) && opt(a.cond, nconds), "action entry id");
+    require(a.kind != ActionKind::kFail || a.fail_node < nnodes,
+            "FAIL target node id");
+    // The counter primitives (Table I) are the kinds from kAssignCntr on.
+    require(a.kind < ActionKind::kAssignCntr || a.counter < ncounters,
+            "action counter id");
+    for (u16 pos : a.reorder_order) {
+      require(pos >= 1 && pos <= a.reorder_count, "reorder position");
+    }
+  }
 }
 
 }  // namespace
@@ -282,8 +355,8 @@ TableSet deserialize_tables(BytesView bytes) {
   }
   if (version < 3) {
     // Reconstruct the action → owning-condition back-references a v2
-    // producer never wrote, so TableSet::owning_cond stays O(1) for
-    // consumers regardless of the input version.
+    // producer never wrote, so consumers read ActionEntry::cond whatever
+    // the input version.
     for (std::size_t c = 0; c < t.conditions.entries.size(); ++c) {
       for (ActionId id : t.conditions.entries[c].actions) {
         if (id < t.actions.entries.size()) {
@@ -292,6 +365,7 @@ TableSet deserialize_tables(BytesView bytes) {
       }
     }
   }
+  validate(t);
   return t;
 }
 

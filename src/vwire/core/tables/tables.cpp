@@ -30,18 +30,6 @@ CounterId CounterTable::find(std::string_view name) const {
   return kInvalidId;
 }
 
-CondId TableSet::owning_cond(ActionId id) const {
-  if (id >= actions.entries.size()) return kInvalidId;
-  const CondId back = actions.entries[id].cond;
-  if (back != kInvalidId && back < conditions.entries.size()) return back;
-  for (std::size_t c = 0; c < conditions.entries.size(); ++c) {
-    for (ActionId a : conditions.entries[c].actions) {
-      if (a == id) return static_cast<CondId>(c);
-    }
-  }
-  return kInvalidId;
-}
-
 const char* to_string(RelOp op) {
   switch (op) {
     case RelOp::kGt: return ">";

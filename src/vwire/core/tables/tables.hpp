@@ -16,6 +16,8 @@
 // describes, so the run-time engine only chases indices.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -154,6 +156,50 @@ struct CondInstr {
   TermId term{kInvalidId};
 };
 
+/// Two-valued logic for eval_postfix, as the engines evaluate conditions;
+/// the static checkers use a three-valued one (fsl::TruthLogic).
+struct BoolLogic {
+  using Value = bool;
+  static constexpr bool kTrue = true;
+  static bool negate(bool a) { return !a; }
+  static bool conj(bool a, bool b) { return a && b; }
+  static bool disj(bool a, bool b) { return a || b; }
+};
+
+/// The one condition evaluator: runs postfix program `prog` in `Logic`,
+/// taking each term's value from `leaf(term_id)`.  No program grows the
+/// stack past its length, so a `stack` of prog.size() values suffices and
+/// a caller that evaluates repeatedly sizes it once and never allocates.
+/// nullopt: the program underflows, or does not leave exactly one value.
+template <class Logic, class Leaf>
+std::optional<typename Logic::Value> eval_postfix(
+    const std::vector<CondInstr>& prog, Leaf&& leaf,
+    std::span<typename Logic::Value> stack) {
+  if (stack.size() < prog.size()) return std::nullopt;
+  std::size_t sp = 0;
+  for (const CondInstr& in : prog) {
+    switch (in.op) {
+      case BoolOp::kTrue: stack[sp++] = Logic::kTrue; break;
+      case BoolOp::kTerm: stack[sp++] = leaf(in.term); break;
+      case BoolOp::kNot:
+        if (sp < 1) return std::nullopt;
+        stack[sp - 1] = Logic::negate(stack[sp - 1]);
+        break;
+      case BoolOp::kAnd:
+      case BoolOp::kOr:
+        if (sp < 2) return std::nullopt;
+        --sp;
+        stack[sp - 1] = in.op == BoolOp::kAnd
+                            ? Logic::conj(stack[sp - 1], stack[sp])
+                            : Logic::disj(stack[sp - 1], stack[sp]);
+        break;
+      default: return std::nullopt;  // not a BoolOp (bad wire input)
+    }
+  }
+  if (sp != 1) return std::nullopt;
+  return stack[0];
+}
+
 struct CondEntry {
   std::vector<CondInstr> postfix;
   std::vector<ActionId> actions;    ///< in script order
@@ -233,10 +279,9 @@ struct ActionEntry {
   u32 rate_n{0};
   double prob{1.0};
 
-  // Rule provenance (table format v3): the owning condition (the rule this
-  // action belongs to) and the action's own source position.  kInvalidId /
-  // 0 on legacy v2 tables until `TableSet::owning_cond` reconstructs the
-  // back-reference from the condition table.
+  // Rule provenance (table format v3): the owning condition, which every
+  // producer sets (deserialize_tables rebuilds it for v2 input and checks
+  // it), and the action's own source position (0 on v2 tables).
   CondId cond{kInvalidId};
   u32 src_line{0};
   u32 src_col{0};
@@ -260,14 +305,18 @@ struct TableSet {
   ConditionTable conditions;
   ActionTable actions;
 
-  /// The condition (rule) owning action `id`: the v3 back-reference when
-  /// present, otherwise a scan of the condition table (legacy v2 input).
+  /// The condition (rule) owning action `id` (ActionEntry::cond);
   /// kInvalidId when the action is orphaned or `id` is out of range.
-  CondId owning_cond(ActionId id) const;
+  CondId owning_cond(ActionId id) const {
+    return id < actions.entries.size() ? actions.entries[id].cond : kInvalidId;
+  }
 };
 
 /// Wire (de)serialization for the control plane's INIT message.
 Bytes serialize(const TableSet& tables);
-TableSet deserialize_tables(BytesView bytes);  ///< throws on malformed input
+/// Throws std::invalid_argument on malformed input: a truncated or
+/// unknown-version bundle, a malformed condition program, or a cross-table
+/// id out of range (or a `cond` back-reference the conditions disagree with).
+TableSet deserialize_tables(BytesView bytes);
 
 }  // namespace vwire::core

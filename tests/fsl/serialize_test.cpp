@@ -2,6 +2,9 @@
 // format — what INIT messages actually carry (paper §5.1).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+
 #include "vwire/core/fsl/compiler.hpp"
 #include "vwire/util/bytes.hpp"
 
@@ -208,6 +211,88 @@ TEST(TableSerialization, EmptyTablesSurvive) {
   EXPECT_EQ(copy.scenario_name, "empty");
   EXPECT_TRUE(copy.filters.entries.empty());
   EXPECT_TRUE(copy.actions.entries.empty());
+}
+
+TEST(TableSerialization, RejectsOutOfRangeTermInProgram) {
+  // An engine indexes term state with every id in a condition program; a
+  // bundle naming term 4000 must fail INIT rather than read out of bounds.
+  TableSet t = fsl::compile_script(kScript);
+  ASSERT_EQ(t.conditions.entries[1].postfix[0].op, BoolOp::kTerm);
+  t.conditions.entries[1].postfix[0].term = 4000;
+  EXPECT_THROW(deserialize_tables(serialize(t)), std::invalid_argument);
+}
+
+TEST(TableSerialization, RejectsMalformedTables) {
+  const TableSet good = fsl::compile_script(kScript);
+  ASSERT_NO_THROW(deserialize_tables(serialize(good)));
+  auto action_of = [&good](ActionKind k) {
+    for (std::size_t a = 0; a < good.actions.entries.size(); ++a) {
+      if (good.actions.entries[a].kind == k) return a;
+    }
+    ADD_FAILURE() << "no " << to_string(k) << " action";
+    return std::size_t{0};
+  };
+  const std::size_t del = action_of(ActionKind::kDelay);
+  const std::size_t reo = action_of(ActionKind::kReorder);
+  const std::size_t fail = action_of(ActionKind::kFail);
+  const std::size_t enable = action_of(ActionKind::kEnableCntr);
+  const TermId t0 = good.conditions.entries[1].postfix[0].term;
+
+  const std::vector<std::pair<const char*, std::function<void(TableSet&)>>>
+      mutations = {
+          {"program underflows",
+           [](TableSet& t) {
+             t.conditions.entries[1].postfix = {{BoolOp::kAnd, kInvalidId}};
+           }},
+          {"program leaves two values",
+           [t0](TableSet& t) {
+             t.conditions.entries[1].postfix = {{BoolOp::kTerm, t0},
+                                                {BoolOp::kTerm, t0}};
+           }},
+          {"unknown operator",
+           [](TableSet& t) {
+             t.conditions.entries[1].postfix[0].op = static_cast<BoolOp>(9);
+           }},
+          {"condition action id",
+           [](TableSet& t) { t.conditions.entries[0].actions.push_back(999); }},
+          {"action back-reference disagrees",
+           [](TableSet& t) { t.actions.entries[0].cond = 3; }},
+          {"action back-reference out of range",
+           [](TableSet& t) { t.actions.entries[0].cond = 77; }},
+          {"term counter id",
+           [](TableSet& t) {
+             t.terms.entries[0].lhs.is_counter = true;
+             t.terms.entries[0].lhs.counter = 500;
+           }},
+          {"term condition id",
+           [](TableSet& t) { t.terms.entries[0].conds.push_back(700); }},
+          {"counter term id",
+           [](TableSet& t) { t.counters.entries[0].terms.push_back(600); }},
+          {"counter filter id",
+           [](TableSet& t) { t.counters.entries[0].filter = 42; }},
+          {"counter notify node",
+           [](TableSet& t) { t.counters.entries[0].notify_nodes = {50}; }},
+          {"filter variable id",
+           [](TableSet& t) { t.filters.entries[0].tuples[1].var = 9; }},
+          {"action filter id",
+           [del](TableSet& t) { t.actions.entries[del].filter = 42; }},
+          {"FAIL target",
+           [fail](TableSet& t) { t.actions.entries[fail].fail_node = 9; }},
+          {"counter action target",
+           [enable](TableSet& t) { t.actions.entries[enable].counter = 99; }},
+          {"action kind",
+           [](TableSet& t) {
+             t.actions.entries[0].kind = static_cast<ActionKind>(40);
+           }},
+          {"reorder position",
+           [reo](TableSet& t) { t.actions.entries[reo].reorder_order[0] = 5; }},
+      };
+  for (const auto& [what, mutate] : mutations) {
+    TableSet bad = good;
+    mutate(bad);
+    EXPECT_THROW(deserialize_tables(serialize(bad)), std::invalid_argument)
+        << what;
+  }
 }
 
 }  // namespace
