@@ -222,6 +222,10 @@ struct BadScript {
   const char* expect;
 };
 
+// Names the ctest case after the expected message, not the pointer bytes
+// gtest prints by default (those change with every run's address layout).
+void PrintTo(const BadScript& b, std::ostream* os) { *os << b.expect; }
+
 class CompilerErrors : public ::testing::TestWithParam<BadScript> {};
 
 TEST_P(CompilerErrors, Diagnosed) {

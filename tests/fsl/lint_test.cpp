@@ -58,6 +58,10 @@ struct CorpusCase {
   u32 line, col;
 };
 
+// Names the ctest case after the corpus file, not the pointer bytes gtest
+// prints by default (those change with every run's address layout).
+void PrintTo(const CorpusCase& c, std::ostream* os) { *os << c.file; }
+
 class LintCorpus : public ::testing::TestWithParam<CorpusCase> {};
 
 TEST_P(LintCorpus, FlagsExpectedRuleAtLocation) {

@@ -183,6 +183,13 @@ struct BadInput {
   const char* expect_in_message;
 };
 
+// ctest names each case after this print.  gtest's default prints the raw
+// bytes of the two pointers, which address-space randomisation changes on
+// every run, so the discovered names would differ from build to build.
+void PrintTo(const BadInput& b, std::ostream* os) {
+  *os << b.expect_in_message;
+}
+
 class ParserErrors : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(ParserErrors, ReportedWithContext) {
