@@ -13,6 +13,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 
 #include "vwire/chaos/fixtures.hpp"
 #include "vwire/obs/flight.hpp"

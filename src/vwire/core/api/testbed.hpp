@@ -16,6 +16,8 @@
 // node's IP layer, exactly like userspace sockets above a kernel stack.
 #pragma once
 
+#include <functional>
+
 #include "vwire/core/control/controller.hpp"
 #include "vwire/obs/flight.hpp"
 #include "vwire/phy/shared_bus.hpp"

@@ -109,9 +109,8 @@ EngineLayer::Fate EngineLayer::apply_one(const ActionEntry& e, ActionId id,
         r.value = d.ns;         // applied (quantized)
         r.value2 = e.delay.ns;  // requested by the script
       }
-      auto shared = std::make_shared<net::Packet>(std::move(pkt));
-      sim_.after(d, [this, shared, dir] {
-        release_now(std::move(*shared), dir);
+      sim_.after(d, [this, pkt = std::move(pkt), dir]() mutable {
+        release_now(std::move(pkt), dir);
       });
       return Fate::kDiverted;
     }
@@ -120,10 +119,8 @@ EngineLayer::Fate EngineLayer::apply_one(const ActionEntry& e, ActionId id,
       ++stats_.dups;
       if (prov) record();
       // The twin follows the original immediately (fresh uid).
-      net::Packet twin = pkt.clone();
-      auto shared = std::make_shared<net::Packet>(std::move(twin));
-      sim_.after({0}, [this, shared, dir] {
-        release_now(std::move(*shared), dir);
+      sim_.after({0}, [this, twin = pkt.clone(), dir]() mutable {
+        release_now(std::move(twin), dir);
       });
       return Fate::kRelease;
     }
@@ -175,13 +172,11 @@ EngineLayer::Fate EngineLayer::apply_one(const ActionEntry& e, ActionId id,
       std::vector<net::Packet> window = std::move(buf);
       reorder_buf_.erase(id);
       reorder_served_[id] = rules_.rises(e.cond);
-      auto shared =
-          std::make_shared<std::vector<net::Packet>>(std::move(window));
-      std::vector<u16> order = e.reorder_order;
-      sim_.after({0}, [this, shared, order, dir] {
+      sim_.after({0}, [this, window = std::move(window),
+                       order = e.reorder_order, dir]() mutable {
         for (u16 idx : order) {
           ++stats_.reorders_released;
-          release_now(std::move((*shared)[idx - 1]), dir);
+          release_now(std::move(window[idx - 1]), dir);
         }
       });
       return Fate::kDiverted;

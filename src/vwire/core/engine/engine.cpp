@@ -202,10 +202,9 @@ void EngineLayer::release(net::Packet pkt, net::Direction dir, Duration cost) {
   std::size_t d = static_cast<std::size_t>(dir);
   TimePoint at = std::max(sim_.now() + cost, last_release_[d]);
   last_release_[d] = at;
-  auto shared = std::make_shared<net::Packet>(std::move(pkt));
-  sim_.at(at, [this, shared, dir, gen = purge_gen_] {
+  sim_.at(at, [this, pkt = std::move(pkt), dir, gen = purge_gen_]() mutable {
     if (gen != purge_gen_) return;  // node crashed in the meantime
-    release_now(std::move(*shared), dir);
+    release_now(std::move(pkt), dir);
   });
 }
 

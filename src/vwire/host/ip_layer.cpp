@@ -37,10 +37,10 @@ void IpLayer::send(net::Ipv4Address dst, net::IpProto proto,
   net::Packet pkt(std::move(frame));
   // Charge the sender-side kernel processing as latency before the frame
   // reaches the chain below.
-  auto shared = std::make_shared<net::Packet>(std::move(pkt));
-  node_->simulator().after(node_->params().tx_stack_cost, [this, shared] {
-    pass_down(std::move(*shared));
-  });
+  node_->simulator().after(node_->params().tx_stack_cost,
+                           [this, pkt = std::move(pkt)]() mutable {
+                             pass_down(std::move(pkt));
+                           });
 }
 
 void IpLayer::receive_up(net::Packet pkt) {
@@ -77,18 +77,18 @@ void IpLayer::receive_up(net::Packet pkt) {
   ++stats_.rx_packets;
 
   const std::size_t l4_len = ip->total_length - net::Ipv4Header::kSize;
-  auto shared = std::make_shared<net::Packet>(std::move(pkt));
   net::Ipv4Header hdr = *ip;
   u8 proto = ip->protocol;
-  node_->simulator().after(
-      node_->params().rx_stack_cost, [this, shared, hdr, proto, l4_len] {
-        auto handler_it = handlers_.find(proto);
-        if (handler_it == handlers_.end()) return;
-        handler_it->second(
-            hdr, shared->view().subspan(
-                     net::EthernetHeader::kSize + net::Ipv4Header::kSize,
-                     l4_len));
-      });
+  auto deliver = [this, pkt = std::move(pkt), hdr, proto, l4_len] {
+    auto handler_it = handlers_.find(proto);
+    if (handler_it == handlers_.end()) return;
+    handler_it->second(
+        hdr, pkt.view().subspan(
+                 net::EthernetHeader::kSize + net::Ipv4Header::kSize, l4_len));
+  };
+  // The largest per-packet capture on the hot path; it must not allocate.
+  static_assert(sim::EventFn::stored_inline<decltype(deliver)>());
+  node_->simulator().after(node_->params().rx_stack_cost, std::move(deliver));
 }
 
 }  // namespace vwire::host

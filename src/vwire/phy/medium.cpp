@@ -179,9 +179,9 @@ void Medium::deliver_to_port(PortId port, net::Packet pkt) {
       f->record(sim_.now().ns, pkt.span(), pkt.parent_span(),
                 obs::SpanEventKind::kLinkDelay, 0xffff, 0, extra.ns);
     }
-    auto shared = std::make_shared<net::Packet>(std::move(pkt));
-    sim_.at(sim_.now() + extra,
-            [this, port, shared] { finish_delivery(port, std::move(*shared)); });
+    sim_.at(sim_.now() + extra, [this, port, pkt = std::move(pkt)]() mutable {
+      finish_delivery(port, std::move(pkt));
+    });
     return;
   }
   finish_delivery(port, std::move(pkt));

@@ -36,10 +36,9 @@ void SharedBus::transmit(PortId port, net::Packet pkt) {
   note_queue_depth(channel_queued_);
 
   TimePoint arrive = done + params_.propagation + tx_fault_delay(port, pkt);
-  auto shared = std::make_shared<net::Packet>(std::move(pkt));
-  sim_.at(arrive, [this, port, shared] {
+  sim_.at(arrive, [this, port, pkt = std::move(pkt)]() mutable {
     --channel_queued_;
-    complete(port, std::move(*shared));
+    complete(port, std::move(pkt));
   });
 }
 

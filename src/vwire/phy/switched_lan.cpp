@@ -43,10 +43,9 @@ void SwitchedLan::transmit(PortId port, net::Packet pkt) {
   // Frame fully received by the switch after serialization + propagation,
   // plus any scheduled tx-side latency/jitter on the host's link.
   TimePoint at_switch = *done + params_.propagation + tx_fault_delay(port, pkt);
-  auto shared = std::make_shared<net::Packet>(std::move(pkt));
-  sim_.at(at_switch, [this, port, shared] {
+  sim_.at(at_switch, [this, port, pkt = std::move(pkt)]() mutable {
     --ports_[port].queued;
-    switch_forward(port, std::move(*shared));
+    switch_forward(port, std::move(pkt));
   });
 }
 
@@ -69,15 +68,15 @@ void SwitchedLan::switch_forward(PortId ingress, net::Packet pkt) {
     }
     TimePoint arrive = *done + params_.propagation;
     bool corrupted = corrupts_frame(pkt.size());
-    auto shared = std::make_shared<net::Packet>(pkt.wire_copy());
-    sim_.at(arrive, [this, out, corrupted, shared] {
-      --egress_[out].queued;
-      if (corrupted) {
-        note_drop(out, *shared, obs::DropCause::kBitError);
-        return;
-      }
-      deliver_to_port(out, std::move(*shared));
-    });
+    sim_.at(arrive,
+            [this, out, corrupted, p = pkt.wire_copy()]() mutable {
+              --egress_[out].queued;
+              if (corrupted) {
+                note_drop(out, p, obs::DropCause::kBitError);
+                return;
+              }
+              deliver_to_port(out, std::move(p));
+            });
   };
 
   if (eth->dst.is_broadcast()) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 
 #include "vwire/host/node.hpp"
 #include "vwire/rether/rether_frame.hpp"

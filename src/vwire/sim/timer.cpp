@@ -12,9 +12,7 @@ void Timer::start(Duration delay) {
   cancel();
   armed_ = true;
   deadline_ = sim_.now() + delay;
-  u64 gen = ++generation_;
-  event_ = sim_.after(delay, [this, gen] {
-    if (gen != generation_ || !armed_) return;
+  event_ = sim_.after(delay, [this] {
     armed_ = false;
     event_ = kNoEvent;
     on_fire_();
@@ -22,7 +20,6 @@ void Timer::start(Duration delay) {
 }
 
 void Timer::cancel() {
-  ++generation_;
   armed_ = false;
   if (event_ != kNoEvent) {
     sim_.cancel(event_);

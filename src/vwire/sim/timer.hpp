@@ -3,8 +3,8 @@
 // TCP retransmission, RLL acknowledgement, Rether token-ack and the DELAY
 // fault primitive all follow the same pattern: arm, maybe re-arm, maybe
 // cancel, fire once.  Timer wraps that pattern and guarantees a cancelled or
-// re-armed timer never fires stale (the generation counter makes superseded
-// schedules no-ops even if the event survives in the queue).
+// re-armed timer never fires stale: EventQueue::cancel is exact, so a
+// superseded schedule is gone from the queue.
 //
 // The paper notes the Linux soft-timer granularity is one jiffy (10 ms) and
 // that DELAY can be no finer (§5.2); `quantize_up` reproduces that rounding.
@@ -44,7 +44,6 @@ class Timer {
   Simulator& sim_;
   EventFn on_fire_;
   EventId event_{kNoEvent};
-  u64 generation_{0};
   TimePoint deadline_{};
   bool armed_{false};
 };

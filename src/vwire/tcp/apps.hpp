@@ -6,6 +6,8 @@
 //                   (the x-axis of Fig 7).
 #pragma once
 
+#include <functional>
+
 #include "vwire/sim/timer.hpp"
 #include "vwire/tcp/tcp_layer.hpp"
 

@@ -1,6 +1,7 @@
 // Per-node TCP: connection demultiplexing, listen/accept, segment I/O.
 #pragma once
 
+#include <functional>
 #include <unordered_map>
 
 #include "vwire/host/node.hpp"
