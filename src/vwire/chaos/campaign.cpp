@@ -53,21 +53,10 @@ Campaign::Campaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 FaultSchedule Campaign::schedule_for(u64 index) const {
-  // The schedule template lives on the harness; build a throwaway one to
-  // read it.  (Cheap relative to a trial, and keeps the template beside
-  // the topology it describes.)
-  const std::unique_ptr<TrialHarness> probe_harness =
-      make_harness(cfg_.fixture, 0);
-  ScheduleTemplate tmpl = probe_harness->schedule_template();
-  if (cfg_.state_faults) {
-    tmpl.state_kinds = probe_harness->state_fault_kinds();
-    if (!tmpl.state_kinds.empty() &&
-        std::find(tmpl.allowed.begin(), tmpl.allowed.end(),
-                  FaultKind::kStateFault) == tmpl.allowed.end()) {
-      tmpl.allowed.push_back(FaultKind::kStateFault);
-    }
-  }
-  return generate_schedule(cfg_.seed, index, tmpl);
+  // RNG draws over the fixture's cached fault space: no harness is built.
+  const FixtureDescription& fixture = describe_fixture(cfg_.fixture);
+  return generate_schedule(cfg_.seed, index,
+                           fixture.schedule_template(cfg_.state_faults));
 }
 
 TrialResult Campaign::run_trial(u64 index) const {
@@ -81,15 +70,16 @@ TrialResult Campaign::run_schedule(const FaultSchedule& schedule) const {
 
   // Trial isolation: a brand-new harness (testbed, medium, stacks,
   // workload apps) per execution.
+  const FixtureDescription& fixture = describe_fixture(cfg_.fixture);
   const u64 workload_seed = derive_seed(schedule.campaign_seed,
                                         "trial.workload", schedule.trial_index);
-  std::unique_ptr<TrialHarness> harness =
-      make_harness(cfg_.fixture, workload_seed);
+  std::unique_ptr<TrialHarness> harness = fixture.build(fixture, workload_seed);
   Testbed& tb = harness->testbed();
   sim::Simulator& sim = tb.simulator();
+  const std::vector<std::string> node_names = tb.node_names();
 
   ScenarioSpec spec =
-      harness->make_spec(fsl_rules(schedule, harness->fsl_site()));
+      harness->make_spec(fsl_rules(schedule, fixture.fsl_site));
   spec.seed = derive_seed(schedule.campaign_seed, "trial.medium",
                           schedule.trial_index);
 
@@ -189,8 +179,8 @@ TrialResult Campaign::run_schedule(const FaultSchedule& schedule) const {
         break;
       }
       case FaultKind::kRllDupDeliver: {
-        const std::vector<std::string> names = tb.node_names();
-        if (std::find(names.begin(), names.end(), e.node) == names.end()) {
+        if (std::find(node_names.begin(), node_names.end(), e.node) ==
+            node_names.end()) {
           throw std::invalid_argument(
               "chaos: rll_dup_deliver targets unknown node '" + e.node + "'");
         }
@@ -211,8 +201,8 @@ TrialResult Campaign::run_schedule(const FaultSchedule& schedule) const {
         break;
       }
       case FaultKind::kStateFault: {
-        const std::vector<std::string> names = tb.node_names();
-        if (std::find(names.begin(), names.end(), e.node) == names.end()) {
+        if (std::find(node_names.begin(), node_names.end(), e.node) ==
+            node_names.end()) {
           throw std::invalid_argument(
               "chaos: state_fault targets unknown node '" + e.node + "'");
         }
@@ -235,13 +225,19 @@ TrialResult Campaign::run_schedule(const FaultSchedule& schedule) const {
   // Invariants: fixture-specific plus the campaign-level cross-layer set.
   InvariantSet inv;
   harness->register_invariants(inv);
-  auto rll_exactly_once = [&tb]() -> std::optional<std::string> {
-    for (const std::string& n : tb.node_names()) {
-      rll::RllLayer* rll = tb.handles(n).rll;
-      if (rll == nullptr) continue;
+  // Resolved once here, not on every probe: the testbed's nodes (and their
+  // RLL layers) are fixed once the harness is built.
+  std::vector<std::pair<const std::string*, const rll::RllLayer*>> rlls;
+  for (const std::string& n : node_names) {
+    if (const rll::RllLayer* rll = tb.handles(n).rll) {
+      rlls.emplace_back(&n, rll);
+    }
+  }
+  auto rll_exactly_once = [&rlls]() -> std::optional<std::string> {
+    for (const auto& [name, rll] : rlls) {
       if (std::optional<std::string> msg =
               check_rll_exactly_once(rll->stats())) {
-        return "node " + n + ": " + *msg;
+        return "node " + *name + ": " + *msg;
       }
     }
     return std::nullopt;
@@ -463,8 +459,8 @@ CampaignSummary Campaign::run_from(std::vector<TrialResult> completed) {
     } catch (const std::exception&) {
       // keep the original trial's violations
     }
-    const std::unique_ptr<TrialHarness> h = make_harness(cfg_.fixture, 0);
-    art.fsl = fsl_rules(minimized, h->fsl_site());
+    art.fsl =
+        fsl_rules(minimized, describe_fixture(cfg_.fixture).fsl_site);
     s.repro = std::move(art);
   }
   return s;

@@ -159,9 +159,11 @@ class Campaign {
   /// this twice with the same index yields byte-identical telemetry.
   TrialResult run_trial(u64 index) const;
 
-  /// The deterministic schedule trial `index` would run — regeneration is
-  /// cheap (RNG draws only), which is how checkpoint resume rebuilds the
-  /// schedules of journaled trials without re-executing them.
+  /// The deterministic schedule trial `index` would run.  Regeneration is
+  /// RNG draws over the fixture's cached description (describe_fixture) —
+  /// no harness or testbed is built — which is how checkpoint resume
+  /// rebuilds the schedules of journaled trials without re-executing them.
+  /// Throws std::invalid_argument for an unknown fixture.
   FaultSchedule schedule_for(u64 index) const;
 
   /// Executes an explicit schedule (a ddmin candidate or a loaded repro)

@@ -99,7 +99,7 @@ constexpr const char* kTcpFilters =
 
 class Fig7Harness final : public TrialHarness {
  public:
-  Fig7Harness() {
+  explicit Fig7Harness(const FixtureDescription& d) : TrialHarness(d) {
     tb_.add_node("ctl");
     tb_.add_node("node1");
     tb_.add_node("node2");
@@ -125,25 +125,6 @@ class Fig7Harness final : public TrialHarness {
     return spec;
   }
 
-  FslSite fsl_site() const override {
-    return {"TCP_data", "node1", "node2", "CHAOS"};
-  }
-
-  const ScheduleTemplate& schedule_template() const override {
-    static const ScheduleTemplate t = [] {
-      ScheduleTemplate t;
-      t.allowed = {FaultKind::kCrash,    FaultKind::kLinkCut,
-                   FaultKind::kLinkFlap, FaultKind::kLinkDegrade,
-                   FaultKind::kFslDrop,  FaultKind::kFslDelay,
-                   FaultKind::kFslDup,   FaultKind::kFslModify};
-      t.targets = {"node1", "node2"};
-      t.horizon = millis(250);
-      t.max_packet_index = 80;  // ~83 MSS segments in the 120 kB transfer
-      return t;
-    }();
-    return t;
-  }
-
   void register_invariants(InvariantSet& inv) override {
     auto window_sanity = [this]() -> std::optional<std::string> {
       std::optional<std::string> first;
@@ -162,16 +143,6 @@ class Fig7Harness final : public TrialHarness {
     inv.add_final("tcp-integrity", [this] {
       return check_tcp_integrity(sink_->pattern_errors());
     });
-  }
-
-  std::vector<StateFaultKind> state_fault_kinds() const override {
-    // Only the recoverable corruptions: the hooks below clamp injected
-    // values into the window-sanity envelope, so byzantine campaigns stay
-    // violation-free (the invariant watches the *protocol* driving state
-    // out of bounds afterwards).  kRllWindowCorrupt is materializable too
-    // but only via directed schedules — it exists to break exactly-once.
-    return {StateFaultKind::kTcpCwndForce, StateFaultKind::kTcpCwndFlip,
-            StateFaultKind::kTcpSsthreshForce};
   }
 
   bool schedule_state_fault(const FaultEvent& e, ScenarioSpec& spec) override {
@@ -236,7 +207,7 @@ constexpr const char* kUdpFilters =
 
 class UdpHarness : public TrialHarness {
  public:
-  UdpHarness() {
+  explicit UdpHarness(const FixtureDescription& d) : TrialHarness(d) {
     tb_.add_node("ctl");
     tb_.add_node("client");
     tb_.add_node("server");
@@ -267,25 +238,6 @@ class UdpHarness : public TrialHarness {
     return spec;
   }
 
-  FslSite fsl_site() const override {
-    return {"udp_req", "client", "server", "CHAOS"};
-  }
-
-  const ScheduleTemplate& schedule_template() const override {
-    static const ScheduleTemplate t = [] {
-      ScheduleTemplate t;
-      t.allowed = {FaultKind::kCrash,    FaultKind::kLinkCut,
-                   FaultKind::kLinkFlap, FaultKind::kLinkDegrade,
-                   FaultKind::kFslDrop,  FaultKind::kFslDelay,
-                   FaultKind::kFslDup};
-      t.targets = {"client", "server"};
-      t.horizon = millis(250);
-      t.max_packet_index = 50;  // the client sends 60 probes
-      return t;
-    }();
-    return t;
-  }
-
   void register_invariants(InvariantSet&) override {
     // Echo offers no fixture invariant beyond the campaign-level set: a
     // DUP fault can legitimately hand the client more replies than probes.
@@ -308,6 +260,8 @@ class UdpHarness : public TrialHarness {
 // only a test fixture for the pre-flight itself.
 class DeadsiteHarness final : public UdpHarness {
  public:
+  using UdpHarness::UdpHarness;
+
   ScenarioSpec make_spec(const std::string& fault_rules) override {
     ScenarioSpec spec = UdpHarness::make_spec(fault_rules);
     const std::string enable = "  (TRUE) >> ENABLE_CNTR(CHAOS);\n";
@@ -326,7 +280,7 @@ constexpr const char* kRetherFilters =
 
 class RetherHarness final : public TrialHarness {
  public:
-  RetherHarness() {
+  explicit RetherHarness(const FixtureDescription& d) : TrialHarness(d) {
     tb_.add_node("ctl");
     const char* members[] = {"r1", "r2", "r3"};
     for (const char* n : members) tb_.add_node(n);
@@ -361,26 +315,6 @@ class RetherHarness final : public TrialHarness {
     // The token circulates forever; the deadline is the trial length.
     spec.options.deadline = millis(800);
     return spec;
-  }
-
-  FslSite fsl_site() const override {
-    return {"tr_token", "r1", "r2", "CHAOS"};
-  }
-
-  const ScheduleTemplate& schedule_template() const override {
-    static const ScheduleTemplate t = [] {
-      ScheduleTemplate t;
-      t.allowed = {FaultKind::kCrash, FaultKind::kLinkCut,
-                   FaultKind::kLinkFlap, FaultKind::kFslDrop};
-      t.targets = {"r2", "r3"};
-      t.horizon = millis(400);
-      // Every fault heals: a permanently-dead majority would leave a
-      // single-member ring, which is vacuous rather than interesting.
-      t.permanent_chance = 0.0;
-      t.max_packet_index = 200;
-      return t;
-    }();
-    return t;
   }
 
   void register_invariants(InvariantSet& inv) override {
@@ -457,7 +391,7 @@ constexpr const char* kHangFilters =
 /// for the watchdog/service tests; harmless but pointless elsewhere.
 class HangHarness final : public TrialHarness {
  public:
-  HangHarness() {
+  explicit HangHarness(const FixtureDescription& d) : TrialHarness(d) {
     tb_.add_node("ctl");
     tb_.add_node("a");
     tb_.add_node("b");
@@ -483,18 +417,6 @@ class HangHarness final : public TrialHarness {
     return spec;
   }
 
-  FslSite fsl_site() const override { return {"hang_f", "a", "b", "CHAOS"}; }
-
-  const ScheduleTemplate& schedule_template() const override {
-    static const ScheduleTemplate t = [] {
-      ScheduleTemplate t;
-      t.allowed = {};  // the hang is the workload's doing, not a fault's
-      t.targets = {"a", "b"};
-      return t;
-    }();
-    return t;
-  }
-
   void register_invariants(InvariantSet&) override {}
 
   void quiesce() override { *live_ = false; }
@@ -516,19 +438,110 @@ class HangHarness final : public TrialHarness {
   std::shared_ptr<u64> ticks_{std::make_shared<u64>(0)};
 };
 
-}  // namespace
+// --- the registry ----------------------------------------------------------
 
-std::unique_ptr<TrialHarness> make_harness(std::string_view name,
-                                           u64 /*trial_seed*/) {
-  if (name == "fig7") return std::make_unique<Fig7Harness>();
-  if (name == "udp") return std::make_unique<UdpHarness>();
-  if (name == "rether") return std::make_unique<RetherHarness>();
-  if (name == "hang") return std::make_unique<HangHarness>();
+template <typename Harness>
+std::unique_ptr<TrialHarness> build_harness(const FixtureDescription& d,
+                                            u64 /*trial_seed*/) {
+  return std::make_unique<Harness>(d);
+}
+
+template <typename Harness>
+FixtureDescription describe(std::string name, FslSite site,
+                            ScheduleTemplate schedule,
+                            std::vector<StateFaultKind> state_kinds = {}) {
+  FixtureDescription d;
+  d.name = std::move(name);
+  d.fsl_site = std::move(site);
+  d.schedule = std::move(schedule);
+  d.state_fault_kinds = std::move(state_kinds);
+  d.schedule_with_state_faults = d.schedule;
+  ScheduleTemplate& wide = d.schedule_with_state_faults;
+  wide.state_kinds = d.state_fault_kinds;
+  if (!wide.state_kinds.empty() &&
+      std::find(wide.allowed.begin(), wide.allowed.end(),
+                FaultKind::kStateFault) == wide.allowed.end()) {
+    wide.allowed.push_back(FaultKind::kStateFault);
+  }
+  d.build = &build_harness<Harness>;
+  return d;
+}
+
+std::vector<FixtureDescription> make_descriptions() {
+  std::vector<FixtureDescription> out;
+
+  ScheduleTemplate fig7;
+  fig7.allowed = {FaultKind::kCrash,    FaultKind::kLinkCut,
+                  FaultKind::kLinkFlap, FaultKind::kLinkDegrade,
+                  FaultKind::kFslDrop,  FaultKind::kFslDelay,
+                  FaultKind::kFslDup,   FaultKind::kFslModify};
+  fig7.targets = {"node1", "node2"};
+  fig7.horizon = millis(250);
+  fig7.max_packet_index = 80;  // ~83 MSS segments in the 120 kB transfer
+  // Only the recoverable corruptions: Fig7Harness::schedule_state_fault
+  // clamps injected values into the window-sanity envelope, so byzantine
+  // campaigns stay violation-free (the invariant watches the *protocol*
+  // driving state out of bounds afterwards).  kRllWindowCorrupt is
+  // materializable too but only via directed schedules — it exists to
+  // break exactly-once.
+  out.push_back(describe<Fig7Harness>(
+      "fig7", {"TCP_data", "node1", "node2", "CHAOS"}, std::move(fig7),
+      {StateFaultKind::kTcpCwndForce, StateFaultKind::kTcpCwndFlip,
+       StateFaultKind::kTcpSsthreshForce}));
+
+  ScheduleTemplate udp;
+  udp.allowed = {FaultKind::kCrash,    FaultKind::kLinkCut,
+                 FaultKind::kLinkFlap, FaultKind::kLinkDegrade,
+                 FaultKind::kFslDrop,  FaultKind::kFslDelay,
+                 FaultKind::kFslDup};
+  udp.targets = {"client", "server"};
+  udp.horizon = millis(250);
+  udp.max_packet_index = 50;  // the client sends 60 probes
+  const FslSite udp_site{"udp_req", "client", "server", "CHAOS"};
+  out.push_back(describe<UdpHarness>("udp", udp_site, udp));
+
+  ScheduleTemplate rether;
+  rether.allowed = {FaultKind::kCrash, FaultKind::kLinkCut,
+                    FaultKind::kLinkFlap, FaultKind::kFslDrop};
+  rether.targets = {"r2", "r3"};
+  rether.horizon = millis(400);
+  // Every fault heals: a permanently-dead majority would leave a
+  // single-member ring, which is vacuous rather than interesting.
+  rether.permanent_chance = 0.0;
+  rether.max_packet_index = 200;
+  out.push_back(describe<RetherHarness>(
+      "rether", {"tr_token", "r1", "r2", "CHAOS"}, std::move(rether)));
+
+  ScheduleTemplate hang;
+  hang.allowed = {};  // the hang is the workload's doing, not a fault's
+  hang.targets = {"a", "b"};
+  out.push_back(describe<HangHarness>("hang", {"hang_f", "a", "b", "CHAOS"},
+                                      std::move(hang)));
+
   // Test-only: a deliberately broken generator site for the verification
   // pre-flight.  Not listed in harness_names() so sweeps skip it.
-  if (name == "deadsite") return std::make_unique<DeadsiteHarness>();
+  out.push_back(describe<DeadsiteHarness>("deadsite", udp_site, udp));
+  return out;
+}
+
+}  // namespace
+
+const FixtureDescription& describe_fixture(std::string_view name) {
+  // Built on first use (thread-safe static initialization), never mutated
+  // afterwards: concurrent campaign workers only read it.
+  static const std::vector<FixtureDescription> descriptions =
+      make_descriptions();
+  for (const FixtureDescription& d : descriptions) {
+    if (d.name == name) return d;
+  }
   throw std::invalid_argument("chaos: unknown fixture '" + std::string(name) +
                               "' (have: fig7, udp, rether, hang, deadsite)");
+}
+
+std::unique_ptr<TrialHarness> make_harness(std::string_view name,
+                                           u64 trial_seed) {
+  const FixtureDescription& d = describe_fixture(name);
+  return d.build(d, trial_seed);
 }
 
 std::vector<std::string> harness_names() {

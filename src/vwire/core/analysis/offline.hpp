@@ -13,7 +13,13 @@
 //    ordered and instantaneous, with no control-plane propagation delay,
 //    so distributed rules behave as if every node shared one clock;
 //  * faults — packet faults cannot be applied to the past; they are tallied
-//    as `would_have_fired` instead.
+//    as `would_have_fired` instead;
+//  * the capture-tap window — the tap sits below the engine in each node's
+//    stack, so a frame the live engine counts on its send path reaches the
+//    trace only after the engine's simulated processing cost.  A live run
+//    that ends inside that window has counted frames this trace lacks;
+//    to compare live and offline counts, let the simulator run past the
+//    last engine cost (LiveVsOffline runs it 1 ms more) before replaying.
 #pragma once
 
 #include <unordered_map>

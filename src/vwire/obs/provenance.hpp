@@ -5,7 +5,8 @@
 // and term values *at evaluation time*, the matched filter and packet for
 // packet faults, the applied-vs-requested delay for DELAY quantization, and
 // the cascade depth of the triggering update.  The ring overwrites oldest
-// records so the hot path never allocates or grows; the Controller collects
+// records and reserves its storage once, at the first firing, so the hot
+// path never grows and an idle ring costs nothing; the Controller collects
 // all rings when the scenario ends and `ScenarioResult::explain(rule_id)`
 // answers "why did rule N fire, and with what state?".
 #pragma once
@@ -57,52 +58,75 @@ struct FiringRecord {
 
 /// Fixed-capacity overwrite-oldest ring of FiringRecords.  capacity 0
 /// disables recording entirely (append becomes a no-op).
+///
+/// Storage is reserved on first use: constructing or reset()ting a ring
+/// only stores its capacity, the first claim() makes the one allocation,
+/// and slots are constructed as the first lap reaches them.  An armed
+/// engine whose rules never fire therefore pays nothing for provenance.
 class ProvenanceRing {
  public:
-  explicit ProvenanceRing(std::size_t capacity = 0) { reset(capacity); }
+  explicit ProvenanceRing(std::size_t capacity = 0) : capacity_(capacity) {}
+  ~ProvenanceRing() { release(); }
+  ProvenanceRing(const ProvenanceRing&) = delete;
+  ProvenanceRing& operator=(const ProvenanceRing&) = delete;
 
+  /// Empties the ring and sets its capacity.  A changed capacity gives the
+  /// reservation back; an unchanged one keeps it, like clear().
   void reset(std::size_t capacity) {
-    buf_.assign(capacity, FiringRecord{});
-    head_ = 0;
-    total_ = 0;
+    if (capacity != capacity_) {
+      release();
+      capacity_ = capacity;
+    }
+    clear();
   }
 
-  bool enabled() const { return !buf_.empty(); }
-  std::size_t capacity() const { return buf_.size(); }
+  bool enabled() const { return capacity_ != 0; }
+  std::size_t capacity() const { return capacity_; }
   u64 total() const { return total_; }
   std::size_t size() const {
-    return total_ < buf_.size() ? static_cast<std::size_t>(total_)
-                                : buf_.size();
+    return total_ < capacity_ ? static_cast<std::size_t>(total_) : capacity_;
   }
   u64 dropped() const { return total_ - size(); }
+  /// Slots constructed so far: 0 until the first claim(), then growing
+  /// with the first lap up to capacity().
+  std::size_t constructed() const { return built_; }
 
   void append(const FiringRecord& r) {
-    if (buf_.empty()) return;
+    if (!enabled()) return;
     claim() = r;
   }
 
   /// Hot-path append: advances the ring and returns the slot to fill in
   /// place, avoiding a temporary record + copy.  Precondition: enabled().
-  /// The slot holds the previous lap's field values — callers must
-  /// overwrite every field they rely on (fill_record does).
+  /// A slot the first lap reaches is default-constructed; later laps hand
+  /// back the previous lap's field values — callers must overwrite every
+  /// field they rely on (fill_record does).  Once the first lap is done the
+  /// only branch is the wrap, taken once per capacity() claims.
   FiringRecord& claim() {
-    FiringRecord& slot = buf_[head_];
-    if (++head_ == buf_.size()) head_ = 0;
+    if (head_ == built_) advance_frontier();
     ++total_;
-    return slot;
+    return slots_[head_++];
   }
 
   /// Records oldest → newest.
   std::vector<FiringRecord> collect() const;
 
+  /// Empties the ring; the reservation and its constructed slots stay.
   void clear() {
     head_ = 0;
     total_ = 0;
   }
 
  private:
-  std::vector<FiringRecord> buf_;
-  std::size_t head_{0};
+  /// claim()'s slow path at head_ == built_: wraps a full lap, or
+  /// constructs the next first-lap slot (allocating on the first call).
+  void advance_frontier();
+  void release();
+
+  FiringRecord* slots_{nullptr};  ///< capacity_ slots, built_ constructed
+  std::size_t capacity_{0};
+  std::size_t built_{0};  ///< slots [0, built_) are constructed
+  std::size_t head_{0};   ///< next slot to claim; may sit at capacity_
   u64 total_{0};
 };
 

@@ -3,6 +3,9 @@
 // minimization, and artifact round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "vwire/chaos/campaign.hpp"
 #include "vwire/obs/json.hpp"
 
@@ -385,6 +388,72 @@ TEST(Campaign, UnknownFixtureRejected) {
   cfg.fixture = "bogus";
   Campaign campaign(cfg);
   EXPECT_THROW((void)campaign.run_trial(0), std::invalid_argument);
+}
+
+// schedule_for reads the fixture's cached description; the schedules must
+// be exactly what the original path produced from a freshly built harness.
+TEST(Campaign, ScheduleForMatchesAFreshHarnessTemplate) {
+  for (const std::string& fixture : harness_names()) {
+    for (const bool state_faults : {false, true}) {
+      CampaignConfig cfg;
+      cfg.fixture = fixture;
+      cfg.seed = 77;
+      cfg.state_faults = state_faults;
+      const Campaign campaign(cfg);
+      for (u64 i = 0; i < 32; ++i) {
+        const std::unique_ptr<TrialHarness> h = make_harness(fixture, 0);
+        ScheduleTemplate tmpl = h->schedule_template();
+        if (state_faults) {
+          tmpl.state_kinds = h->state_fault_kinds();
+          if (!tmpl.state_kinds.empty() &&
+              std::find(tmpl.allowed.begin(), tmpl.allowed.end(),
+                        FaultKind::kStateFault) == tmpl.allowed.end()) {
+            tmpl.allowed.push_back(FaultKind::kStateFault);
+          }
+        }
+        EXPECT_EQ(campaign.schedule_for(i),
+                  generate_schedule(cfg.seed, i, tmpl))
+            << fixture << " state_faults=" << state_faults << " trial " << i;
+      }
+    }
+  }
+}
+
+TEST(Campaign, ScheduleForUnknownFixtureThrows) {
+  CampaignConfig cfg;
+  cfg.fixture = "bogus";
+  const Campaign campaign(cfg);
+  EXPECT_THROW((void)campaign.schedule_for(0), std::invalid_argument);
+  EXPECT_THROW((void)describe_fixture("bogus"), std::invalid_argument);
+}
+
+// Campaign workers share one cached description per fixture; concurrent
+// readers must see the same schedules a serial caller does (the TSan job
+// runs this suite).
+TEST(Campaign, ConcurrentScheduleForAgreesWithSerial) {
+  CampaignConfig cfg;
+  cfg.fixture = "fig7";
+  cfg.seed = 5;
+  cfg.state_faults = true;
+  const Campaign campaign(cfg);
+  constexpr std::size_t kThreads = 4;
+  constexpr u64 kTrials = 16;
+  std::vector<std::vector<FaultSchedule>> got(kThreads);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&campaign, &got, t] {
+      for (u64 i = 0; i < kTrials; ++i) {
+        got[t].push_back(campaign.schedule_for(i));
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kTrials);
+    for (u64 i = 0; i < kTrials; ++i) {
+      EXPECT_EQ(got[t][i], campaign.schedule_for(i)) << "thread " << t;
+    }
+  }
 }
 
 // The organic finding (EXPERIMENTS.md §chaos): on the rether fixture, two

@@ -104,6 +104,107 @@ TEST(ProvenanceRing, ExplainSeesTheNewestFiringsOfAHotRule) {
   EXPECT_TRUE(result.explain(42).empty());  // never fired
 }
 
+TEST(ProvenanceRing, UnclaimedRingReportsCapacityAndHoldsNothing) {
+  ProvenanceRing ring(4096);
+  EXPECT_TRUE(ring.enabled());
+  EXPECT_EQ(ring.capacity(), 4096u);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.total(), 0u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  EXPECT_TRUE(ring.collect().empty());
+  ring.clear();
+  ring.reset(4096);
+  EXPECT_EQ(ring.capacity(), 4096u);
+  EXPECT_TRUE(ring.collect().empty());
+  EXPECT_EQ(ring.constructed(), 0u);
+  ring.append(rec(1, 1));  // the first firing builds one slot, not 4096
+  EXPECT_EQ(ring.constructed(), 1u);
+}
+
+TEST(ProvenanceRing, FirstLapFillsThenWrapsExactlyAtCapacity) {
+  constexpr std::size_t kCap = 5;
+  ProvenanceRing ring(kCap);
+  for (i64 i = 1; i <= static_cast<i64>(kCap); ++i) {
+    ring.append(rec(i, static_cast<u16>(i)));
+    EXPECT_EQ(ring.size(), static_cast<std::size_t>(i));
+    EXPECT_EQ(ring.constructed(), static_cast<std::size_t>(i));
+    EXPECT_EQ(ring.dropped(), 0u);
+  }
+  auto full = ring.collect();
+  ASSERT_EQ(full.size(), kCap);
+  for (std::size_t i = 0; i < kCap; ++i) {
+    EXPECT_EQ(full[i].at.ns, static_cast<i64>(i + 1));
+  }
+  // Claim N+1 overwrites slot 0, the oldest.
+  ring.append(rec(6, 6));
+  EXPECT_EQ(ring.size(), kCap);
+  EXPECT_EQ(ring.constructed(), kCap);
+  EXPECT_EQ(ring.dropped(), 1u);
+  auto wrapped = ring.collect();
+  ASSERT_EQ(wrapped.size(), kCap);
+  for (std::size_t i = 0; i < kCap; ++i) {
+    EXPECT_EQ(wrapped[i].at.ns, static_cast<i64>(i + 2));
+  }
+}
+
+TEST(ProvenanceRing, ClearMidFirstLapThenRefillKeepsOrder) {
+  ProvenanceRing ring(6);
+  for (i64 i = 1; i <= 3; ++i) ring.append(rec(i, 1));  // half a lap
+  ring.clear();
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.capacity(), 6u);
+  EXPECT_EQ(ring.constructed(), 3u);  // clear() keeps the reservation
+  EXPECT_TRUE(ring.collect().empty());
+  // Refill past the old frontier (slots 0-2 reused, 3-5 new) and wrap.
+  for (i64 i = 10; i <= 17; ++i) ring.append(rec(i, 2));
+  EXPECT_EQ(ring.total(), 8u);
+  EXPECT_EQ(ring.dropped(), 2u);
+  auto out = ring.collect();
+  ASSERT_EQ(out.size(), 6u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].at.ns, static_cast<i64>(12 + i));
+    EXPECT_EQ(out[i].rule, 2);
+  }
+}
+
+TEST(ProvenanceRing, ResetAfterPartialFillChangesCapacity) {
+  ProvenanceRing ring(8);
+  for (i64 i = 1; i <= 3; ++i) ring.append(rec(i, 1));
+  ring.reset(2);
+  EXPECT_TRUE(ring.enabled());
+  EXPECT_EQ(ring.capacity(), 2u);
+  EXPECT_EQ(ring.constructed(), 0u);  // a new capacity releases the slots
+  EXPECT_EQ(ring.total(), 0u);
+  EXPECT_TRUE(ring.collect().empty());
+  for (i64 i = 1; i <= 3; ++i) ring.append(rec(i * 10, 3));
+  auto out = ring.collect();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].at.ns, 20);
+  EXPECT_EQ(out[1].at.ns, 30);
+  EXPECT_EQ(ring.dropped(), 1u);
+  // Same capacity: behaves like clear().
+  ring.reset(2);
+  EXPECT_EQ(ring.size(), 0u);
+  ring.append(rec(99, 4));
+  ASSERT_EQ(ring.collect().size(), 1u);
+  EXPECT_EQ(ring.collect()[0].at.ns, 99);
+}
+
+TEST(ProvenanceRing, SingleSlotRingKeepsTheNewest) {
+  ProvenanceRing ring(1);
+  EXPECT_TRUE(ring.collect().empty());
+  ring.append(rec(1, 1));
+  ASSERT_EQ(ring.collect().size(), 1u);
+  EXPECT_EQ(ring.collect()[0].at.ns, 1);
+  for (i64 i = 2; i <= 4; ++i) ring.append(rec(i, 1));
+  EXPECT_EQ(ring.total(), 4u);
+  EXPECT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.dropped(), 3u);
+  auto out = ring.collect();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].at.ns, 4);
+}
+
 TEST(FiringRecord, SnapshotArraysAreBounded) {
   FiringRecord r;
   EXPECT_EQ(r.n_counters, 0);
